@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 import re
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Iterable, Optional, Set
+from typing import Iterable, List, Optional, Set, Tuple
 
 _UID_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
@@ -48,49 +49,61 @@ class Uid:
         return self.text
 
 
+def host_span(network: IPv4Network) -> Tuple[int, int]:
+    """First host (as an integer) and host count of ``network``, exactly as
+    ``network.hosts()`` lists them: every address of a /31 or /32, all but
+    the network and broadcast addresses otherwise."""
+    size = network.num_addresses
+    if size <= 2:
+        return int(network.network_address), size
+    return int(network.network_address) + 1, size - 2
+
+
+def nth_free(n: int, used: Iterable[int]) -> int:
+    """The ``n``-th (from 0) offset not in ``used``, which must be sorted
+    ascending without repeats; the walk stops at the first larger offset."""
+    for offset in used:
+        if offset > n:
+            break
+        n += 1
+    return n
+
+
 class AddressPool:
     """Allocatable slice of an IPv4 network (all host addresses).
 
-    The free list is kept sorted so that a seeded generator draws the same
-    address for the same call history on every run.
+    The pool keeps the first host and the host count, plus the sorted
+    offsets of the allocated hosts; it never lists the free addresses. A
+    draw picks ``rng.randrange(free count)`` and walks the used offsets to
+    that free host, which is the address a draw from the sorted free list
+    would give, so a seeded generator yields the same address for the same
+    call history on every run.
     """
 
     def __init__(self, network: IPv4Network):
         self.network = network
-        self._hosts = list(network.hosts())
-        if not self._hosts:
-            raise AddressError(f"network {network} has no allocatable hosts")
-        self._used: Set[IPv4Address] = set()
+        self._first, self._count = host_span(network)
+        self._used: List[int] = []
 
     def __contains__(self, addr: IPv4Address) -> bool:
         return addr in self.network
 
     @property
     def used(self) -> Set[IPv4Address]:
-        return set(self._used)
-
-    def free_count(self) -> int:
-        return len(self._hosts) - len(self._used)
+        return {IPv4Address(self._first + offset) for offset in self._used}
 
     def allocate(self, rng: random.Random) -> IPv4Address:
         """Uniform draw over the sorted free addresses."""
-        free = [a for a in self._hosts if a not in self._used]
-        if not free:
+        free = self._count - len(self._used)
+        if free == 0:
             raise PoolExhausted(f"no free addresses left in {self.network}")
-        addr = free[rng.randrange(len(free))]
-        self._used.add(addr)
-        return addr
-
-    def release(self, addr: IPv4Address) -> None:
-        self._used.discard(addr)
+        offset = nth_free(rng.randrange(free), self._used)
+        bisect.insort(self._used, offset)
+        return IPv4Address(self._first + offset)
 
 
 class PoolExhausted(AddressError):
     """Every address in the pool is allocated."""
-
-
-def ranges_overlap(a: IPv4Network, b: IPv4Network) -> bool:
-    return a.overlaps(b)
 
 
 def check_disjoint(networks: Iterable[IPv4Network]) -> Optional[tuple]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Dict, List, Optional, Set, Union
 
-from .addressing import AddressError, PoolExhausted, Uid
+from .addressing import AddressError, PoolExhausted, Uid, host_span, nth_free
 from .flow_engine import FlowRule, NAT_PRIORITY, dnat_rule, snat_rule
 from .units import US_PER_S
 
@@ -76,11 +76,17 @@ class MobilityRecord:
 
 
 class MobilityServiceTable:
-    """uid-keyed mobility records plus the set of allocated virtual IPs."""
+    """uid-keyed mobility records, the set of allocated virtual IPs and the
+    real IP -> uid index.
+
+    Real addresses change only through ``add``, ``move`` and ``remove``,
+    which keep the index in step with the records.
+    """
 
     def __init__(self) -> None:
         self.records: Dict[Uid, MobilityRecord] = {}
         self.used_vpips: Set[IPv4Address] = set()
+        self.uid_by_real_ip: Dict[IPv4Address, Uid] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -88,19 +94,32 @@ class MobilityServiceTable:
     def lookup(self, uid: Uid) -> Optional[MobilityRecord]:
         return self.records.get(uid)
 
-    def lookup_by_mac(self, mac: Uid) -> Optional[MobilityRecord]:
-        # uid is MAC-style, so the packet-in repair path keys on it directly
-        return self.records.get(mac)
+    def holder_of(self, real_ip: IPv4Address) -> Optional[MobilityRecord]:
+        """The record currently holding ``real_ip``, if any."""
+        uid = self.uid_by_real_ip.get(real_ip)
+        return None if uid is None else self.records[uid]
 
     def add(self, record: MobilityRecord) -> None:
         self.records[record.uid] = record
         self.used_vpips.add(record.virtual_ip)
+        self.uid_by_real_ip[record.real_ip] = record.uid
+
+    def move(self, record: MobilityRecord, real_ip: IPv4Address) -> None:
+        """Give ``record`` a new real address."""
+        self._unindex(record)
+        record.real_ip = real_ip
+        self.uid_by_real_ip[real_ip] = record.uid
 
     def remove(self, uid: Uid) -> Optional[MobilityRecord]:
         record = self.records.pop(uid, None)
         if record is not None:
             self.used_vpips.discard(record.virtual_ip)
+            self._unindex(record)
         return record
+
+    def _unindex(self, record: MobilityRecord) -> None:
+        if self.uid_by_real_ip.get(record.real_ip) == record.uid:
+            del self.uid_by_real_ip[record.real_ip]
 
     def snapshot(self) -> Dict[str, tuple]:
         """Value snapshot for before/after comparisons in tests and traces."""
@@ -115,20 +134,29 @@ class MobilityServiceTable:
         assert set(vpips) == self.used_vpips, "used set out of sync with records"
         rips = [r.real_ip for r in self.records.values()]
         assert len(set(rips)) == len(rips), "real->virtual map must be a bijection"
+        assert self.uid_by_real_ip == {
+            r.real_ip: uid for uid, r in self.records.items()
+        }, "real IP index out of sync with records"
 
 
 def allocate_vpip(pool: IPv4Network, used: Set[IPv4Address],
                   rng: random.Random) -> IPv4Address:
     """Uniform draw over the free addresses of ``pool``.
 
-    The free list is materialized in address order, so a fixed seed and call
-    history always yield the same address. Drawing from the free set makes
-    collisions impossible; no retry loop exists.
+    The draw is ``free[rng.randrange(len(free))]`` over the free hosts in
+    address order, so a fixed seed and call history always yield the same
+    address; the free list itself is never built, only the used hosts are
+    sorted and walked. Members of ``used`` outside the pool's hosts are
+    ignored. Drawing from the free set makes collisions impossible; no
+    retry loop exists.
     """
-    free = [a for a in pool.hosts() if a not in used]
-    if not free:
+    first, count = host_span(pool)
+    taken = sorted(
+        offset for offset in (int(a) - first for a in used) if 0 <= offset < count
+    )
+    if len(taken) == count:
         raise PoolExhausted(f"virtual address pool {pool} exhausted")
-    return free[rng.randrange(len(free))]
+    return IPv4Address(first + nth_free(rng.randrange(count - len(taken)), taken))
 
 
 @dataclass(frozen=True)
@@ -183,7 +211,7 @@ class MobilityController:
         actions: List[ControlAction] = []
         # DHCP reuse: a report proves the reported address's previous holder
         # is gone; drop that record so real->virtual stays a bijection.
-        holder = self._holder_of(report.real_ip)
+        holder = self.mst.holder_of(report.real_ip)
         if holder is not None and holder.uid != report.uid:
             self.mst.remove(holder.uid)
             actions.append(EvictClient(holder.uid))
@@ -199,17 +227,11 @@ class MobilityController:
             # Zone change: only the real address moves; the virtual address
             # is the session anchor and must not change. Flows for the old
             # address are left to idle out.
-            record.real_ip = report.real_ip
+            self.mst.move(record, report.real_ip)
             actions.append(self._install_action(record))
             return actions
         actions.append(RefreshFlows(record.uid))
         return actions
-
-    def _holder_of(self, real_ip: IPv4Address) -> Optional[MobilityRecord]:
-        for record in self.mst.records.values():
-            if record.real_ip == real_ip:
-                return record
-        return None
 
     def _validate_real_ip(self, addr: IPv4Address) -> None:
         if addr.is_unspecified or addr.is_multicast or addr == IPv4Address("255.255.255.255"):
@@ -262,7 +284,8 @@ class MobilityController:
         tap servers' job, and the packet stays buffered at the switch until
         a report lands or the buffer times out.
         """
-        record = self.mst.lookup_by_mac(pkt.src_mac)
+        # uid is MAC-style, so the repair path keys on the source MAC directly
+        record = self.mst.lookup(pkt.src_mac)
         if record is None:
             return []
         record.last_seen = max(record.last_seen, now)

@@ -14,7 +14,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, replace
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from .packet import Packet, PacketKind
 
@@ -165,29 +165,55 @@ def _sort_key(rule: FlowRule) -> Tuple[int, int]:
     return (-rule.priority, rule.install_seq)
 
 
+_Bucket = List[FlowRule]
+
+
 class FlowTable:
     """Prioritized flow table with idle expiry and replace-on-reinstall.
 
-    Rules are kept sorted by (priority desc, install_seq asc), so the first
-    hit of a linear scan is the winner and equal-priority ties resolve to
-    the earliest install, never to iteration order.
+    Every installed rule matches on the source address, the destination
+    address or both; the all-wildcard match belongs to the default rule
+    alone. Rules are therefore indexed exactly: one dict keyed by source
+    address, one by destination address and one by (source, destination).
+    Each value is the short bucket of rules with that match, sorted by
+    (priority desc, install_seq asc). A lookup reads at most three bucket
+    heads and keeps the best by the same key, so equal-priority ties
+    resolve to the earliest install; when no bucket matches, the default
+    rule wins. Cost per packet does not grow with the number of rules.
     """
 
     def __init__(self) -> None:
-        self._rules: List[FlowRule] = []
+        self._by_src: Dict[IPv4Address, _Bucket] = {}
+        self._by_dst: Dict[IPv4Address, _Bucket] = {}
+        self._by_pair: Dict[Tuple[IPv4Address, IPv4Address], _Bucket] = {}
+        # Every non-default rule by install_seq, for expiry scans and listing.
+        self._by_seq: Dict[int, FlowRule] = {}
         self._next_seq = 1
         self._default: Optional[FlowRule] = None
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return len(self._by_seq) + (self._default is not None)
 
     @property
     def rules(self) -> Sequence[FlowRule]:
-        return tuple(self._rules)
+        """Every rule, the default included, in (priority desc,
+        install_seq asc) order."""
+        out = list(self._by_seq.values())
+        if self._default is not None:
+            out.append(self._default)
+        return tuple(sorted(out, key=_sort_key))
 
     @property
     def default_rule(self) -> Optional[FlowRule]:
         return self._default
+
+    def _index_of(self, match: FlowMatch) -> Tuple[Dict, object]:
+        """The dict that holds rules with ``match``, and their key in it."""
+        if match.dst_ip is None:
+            return self._by_src, match.src_ip
+        if match.src_ip is None:
+            return self._by_dst, match.dst_ip
+        return self._by_pair, (match.src_ip, match.dst_ip)
 
     def install_default(self, out_port: str, now: int = 0) -> FlowRule:
         """Install the all-wildcard route rule at the reserved priority."""
@@ -197,12 +223,9 @@ class FlowTable:
             priority=DEFAULT_PRIORITY,
             idle_timeout=None,
             last_hit=now,
+            install_seq=self._next_seq,
         )
-        if self._default is not None:
-            self._rules.remove(self._default)
-        rule.install_seq = self._next_seq
         self._next_seq += 1
-        bisect.insort(self._rules, rule, key=_sort_key)
         self._default = rule
         return rule
 
@@ -218,9 +241,13 @@ class FlowTable:
             raise InstallRejected(
                 f"translation rules need priority > {DEFAULT_PRIORITY}, got {rule.priority}"
             )
-        existing = self.find(rule.match, rule.priority)
-        if existing is not None:
-            self._rules.remove(existing)
+        index, key = self._index_of(rule.match)
+        bucket = index.setdefault(key, [])
+        for i, existing in enumerate(bucket):
+            if existing.priority == rule.priority:
+                del bucket[i]
+                del self._by_seq[existing.install_seq]
+                break
         installed = replace(
             rule,
             actions=rule.actions,
@@ -228,12 +255,16 @@ class FlowTable:
             last_hit=now,
         )
         self._next_seq += 1
-        bisect.insort(self._rules, installed, key=_sort_key)
+        # The fresh install_seq is the largest, so the rule goes after every
+        # rule of equal or higher priority.
+        bisect.insort(bucket, installed, key=_sort_key)
+        self._by_seq[installed.install_seq] = installed
         return installed
 
     def find(self, match: FlowMatch, priority: int) -> Optional[FlowRule]:
-        for rule in self._rules:
-            if rule.match == match and rule.priority == priority:
+        index, key = self._index_of(match)
+        for rule in index.get(key, ()):
+            if rule.priority == priority:
                 return rule
         return None
 
@@ -248,22 +279,51 @@ class FlowTable:
     def match_packet(self, pkt: Packet, now: int) -> Optional[FlowRule]:
         """Highest-priority match, earliest install on ties; hits update
         the rule's idle timer."""
-        for rule in self._rules:
-            if rule.match.matches(pkt):
-                rule.last_hit = now
-                return rule
-        return None
+        best = None
+        bucket = self._by_src.get(pkt.src_ip)
+        if bucket:
+            best = bucket[0]
+        bucket = self._by_dst.get(pkt.dst_ip)
+        if bucket:
+            best = _better(best, bucket[0])
+        if self._by_pair:
+            bucket = self._by_pair.get((pkt.src_ip, pkt.dst_ip))
+            if bucket:
+                best = _better(best, bucket[0])
+        if best is None:
+            best = self._default
+            if best is None:
+                return None
+        best.last_hit = now
+        return best
 
     def expire(self, now: int) -> List[FlowRule]:
-        """Drop every rule idle longer than its timeout. The default rule
-        is exempt by construction (no timeout)."""
+        """Drop every rule idle longer than its timeout, returned in
+        (priority desc, install_seq asc) order. The default rule is exempt
+        by construction (no timeout)."""
         removed = [
-            r for r in self._rules
+            r for r in self._by_seq.values()
             if r.idle_timeout is not None and now - r.last_hit > r.idle_timeout
         ]
         for rule in removed:
-            self._rules.remove(rule)
+            del self._by_seq[rule.install_seq]
+            index, key = self._index_of(rule.match)
+            bucket = [r for r in index[key] if r is not rule]
+            if bucket:
+                index[key] = bucket
+            else:
+                del index[key]
+        removed.sort(key=_sort_key)
         return removed
+
+
+def _better(best: Optional[FlowRule], rule: FlowRule) -> FlowRule:
+    """The winner of two matching rules: higher priority, then earlier install."""
+    if best is None or rule.priority > best.priority or (
+        rule.priority == best.priority and rule.install_seq < best.install_seq
+    ):
+        return rule
+    return best
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ not of the packet itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from ipaddress import IPv4Address
 from typing import Optional
 
@@ -58,8 +58,12 @@ class Packet:
             return DHCP_WIRE_BYTES
         return self.payload_len + INNER_HEADER_BYTES
 
+    # Rewrites call the constructor directly with every field (cheaper than
+    # ``dataclasses.replace``); ``__post_init__`` still validates the copy.
     def with_src(self, addr: IPv4Address) -> "Packet":
-        return replace(self, src_ip=addr)
+        return Packet(addr, self.dst_ip, self.src_mac, self.payload_len, self.seq,
+                      self.sent_at, self.kind, self.conn_id, self.ack)
 
     def with_dst(self, addr: IPv4Address) -> "Packet":
-        return replace(self, dst_ip=addr)
+        return Packet(self.src_ip, addr, self.src_mac, self.payload_len, self.seq,
+                      self.sent_at, self.kind, self.conn_id, self.ack)

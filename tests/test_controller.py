@@ -151,6 +151,20 @@ class TestHostReports:
         assert ctrl.lookup(UID2).real_ip == IPv4Address("10.1.0.5")
         ctrl.mst.check_invariants()
 
+    def test_moved_client_frees_its_old_address(self):
+        """After a zone change the old real address has no holder, so a new
+        client reporting it displaces nobody."""
+        ctrl = make_controller()
+        old, new = IPv4Address("10.1.0.5"), IPv4Address("10.2.0.9")
+        ctrl.handle_host_report(HostReport(UID1, old), now=0)
+        ctrl.handle_host_report(HostReport(UID1, new), now=10)
+        assert ctrl.mst.holder_of(old) is None
+        assert ctrl.mst.holder_of(new) is ctrl.lookup(UID1)
+        actions = ctrl.handle_host_report(HostReport(UID2, old), now=20)
+        assert [type(a) for a in actions] == [InstallFlows]
+        assert ctrl.lookup(UID1).real_ip == new
+        ctrl.mst.check_invariants()
+
 
 class TestAllocate:
     def test_single_free_address_is_forced(self):

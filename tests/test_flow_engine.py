@@ -1,5 +1,6 @@
 """Flow table semantics: matching, rewrites, replacement, expiry."""
 
+import dataclasses
 import random
 from ipaddress import IPv4Address
 
@@ -27,6 +28,8 @@ from sdnmob.flow_engine import (
 from sdnmob.packet import Packet, PacketKind
 
 from ipaddress import IPv4Network
+
+from linear_flow_table import LinearFlowTable
 
 UID = Uid("aa:bb:cc:00:00:01")
 LOCAL = IPv4Network("10.1.0.0/24")
@@ -125,6 +128,19 @@ class TestApplyActions:
         assert port == "ext"
         assert (out.payload_len, out.seq, out.sent_at) == (
             pkt.payload_len, pkt.seq, pkt.sent_at)
+
+    def test_rewrites_copy_every_other_field(self):
+        """The rewrite helpers pass each field to the constructor by hand;
+        they must agree with ``dataclasses.replace`` on a packet that sets
+        every field to a non-default value."""
+        pkt = Packet(
+            src_ip=IPv4Address("10.1.0.5"), dst_ip=IPv4Address("203.0.113.10"),
+            src_mac=UID, payload_len=0, seq=7, sent_at=9, kind=PacketKind.ACK,
+            conn_id=3, ack=1234,
+        )
+        addr = IPv4Address("198.51.100.7")
+        assert pkt.with_src(addr) == dataclasses.replace(pkt, src_ip=addr)
+        assert pkt.with_dst(addr) == dataclasses.replace(pkt, dst_ip=addr)
 
     def test_rule_without_forward_rejected(self):
         with pytest.raises(MalformedActions):
@@ -250,8 +266,43 @@ def lifecycle_ops(draw):
     return ops
 
 
+HOSTS = [IPv4Address(f"10.1.0.{i}") for i in range(1, 5)]
+VPIPS = [IPv4Address(f"198.51.100.{i}") for i in range(1, 5)]
+REMOTE = IPv4Address("203.0.113.10")
+
+
+@st.composite
+def differential_ops(draw):
+    """Scripts mixing SNAT, DNAT and pair installs at two priorities (so
+    reinstalls and shadowed rules occur), src- and dst-hit packets,
+    touches, expiry sweeps and default reinstalls."""
+    ops = []
+    t = 0
+    for _ in range(draw(st.integers(1, 40))):
+        t += draw(st.integers(0, 40))
+        kind = draw(st.sampled_from(
+            ["snat", "dnat", "pair", "src_hit", "dst_hit", "miss", "touch",
+             "expire", "default"]))
+        ops.append((kind, t, draw(st.integers(0, 3)), draw(st.sampled_from([100, 200]))))
+    return ops
+
+
+def _rule_for(kind, i, prio, timeout):
+    if kind == "snat":
+        return snat_rule(HOSTS[i], VPIPS[i], "ext", timeout, prio)
+    if kind == "dnat":
+        return dnat_rule(VPIPS[i], HOSTS[i], f"zone:z{i}", timeout, prio)
+    return FlowRule(FlowMatch(src_ip=HOSTS[i], dst_ip=REMOTE), (forward(f"p{i}"),),
+                    prio, timeout)
+
+
+def _signature(rule):
+    return None if rule is None else (rule.match, rule.priority, rule.install_seq)
+
+
 class TestLifecycleModel:
-    """Model-based check: dict of (match -> last_hit) against the table."""
+    """Model-based checks of the table against a dict of (match -> last_hit)
+    and against the linear-scan reference table."""
 
     @given(lifecycle_ops())
     @settings(max_examples=300, deadline=None)
@@ -279,6 +330,39 @@ class TestLifecycleModel:
                 assert {r.match.src_ip for r in removed} == expected_gone
                 for s in expected_gone:
                     del model[s]
+
+    @given(differential_ops())
+    @settings(max_examples=300, deadline=None)
+    def test_indexed_table_agrees_with_linear_reference(self, ops):
+        """Every step gives the same winner, length, rule listing and expiry
+        list on the indexed table as on the linear-scan reference."""
+        timeout = 50
+        table, ref = FlowTable(), LinearFlowTable()
+        for t in (table, ref):
+            t.install_default("route")
+        for kind, t, i, prio in ops:
+            if kind in ("snat", "dnat", "pair"):
+                rule = _rule_for(kind, i, prio, timeout)
+                assert table.install(rule, now=t) == ref.install(rule, now=t)
+            elif kind in ("src_hit", "dst_hit", "miss"):
+                src, dst = {
+                    "src_hit": (HOSTS[i], REMOTE),
+                    "dst_hit": (REMOTE, VPIPS[i]),
+                    "miss": (IPv4Address("192.0.2.1"), IPv4Address("192.0.2.2")),
+                }[kind]
+                pkt = data_packet(src=str(src), dst=str(dst), now=t)
+                assert _signature(table.match_packet(pkt, now=t)) == _signature(
+                    ref.match_packet(pkt, now=t))
+            elif kind == "touch":
+                match = _rule_for("snat" if i % 2 else "dnat", i, prio, timeout).match
+                assert table.touch(match, prio, now=t) == ref.touch(match, prio, now=t)
+            elif kind == "expire":
+                assert table.expire(now=t) == ref.expire(now=t)
+            else:
+                assert table.install_default("route", now=t) == ref.install_default(
+                    "route", now=t)
+            assert len(table) == len(ref)
+            assert table.rules == ref.rules
 
 
 class TestSwitch:
