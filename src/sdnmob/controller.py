@@ -9,10 +9,11 @@ for the new one, and old flows are simply left to idle out.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Dict, List, Optional, Set, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .addressing import AddressError, PoolExhausted, Uid, host_span, nth_free
 from .flow_engine import FlowRule, NAT_PRIORITY, dnat_rule, snat_rule
@@ -67,7 +68,7 @@ class HostReport:
         return cls(uid, addr)
 
 
-@dataclass
+@dataclass(slots=True)
 class MobilityRecord:
     uid: Uid
     real_ip: IPv4Address
@@ -76,16 +77,19 @@ class MobilityRecord:
 
 
 class MobilityServiceTable:
-    """uid-keyed mobility records, the set of allocated virtual IPs and the
-    real IP -> uid index.
+    """uid-keyed mobility records, the allocated virtual IPs and the real
+    IP -> uid index.
 
-    Real addresses change only through ``add``, ``move`` and ``remove``,
-    which keep the index in step with the records.
+    The virtual IPs are kept as their sorted offsets from the first host of
+    ``vpip_pool`` (``vpip_offsets``), the form ``allocate_vpip`` walks.
+    Records change only through ``add``, ``move`` and ``remove``, which keep
+    the offsets and the index in step with them.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, vpip_pool: IPv4Network) -> None:
         self.records: Dict[Uid, MobilityRecord] = {}
-        self.used_vpips: Set[IPv4Address] = set()
+        self._first, self._count = host_span(vpip_pool)
+        self.vpip_offsets: List[int] = []
         self.uid_by_real_ip: Dict[IPv4Address, Uid] = {}
 
     def __len__(self) -> int:
@@ -100,8 +104,9 @@ class MobilityServiceTable:
         return None if uid is None else self.records[uid]
 
     def add(self, record: MobilityRecord) -> None:
+        """Insert a record whose virtual IP is a free host of the pool."""
         self.records[record.uid] = record
-        self.used_vpips.add(record.virtual_ip)
+        bisect.insort(self.vpip_offsets, int(record.virtual_ip) - self._first)
         self.uid_by_real_ip[record.real_ip] = record.uid
 
     def move(self, record: MobilityRecord, real_ip: IPv4Address) -> None:
@@ -113,7 +118,8 @@ class MobilityServiceTable:
     def remove(self, uid: Uid) -> Optional[MobilityRecord]:
         record = self.records.pop(uid, None)
         if record is not None:
-            self.used_vpips.discard(record.virtual_ip)
+            offsets = self.vpip_offsets
+            del offsets[bisect.bisect_left(offsets, int(record.virtual_ip) - self._first)]
             self._unindex(record)
         return record
 
@@ -131,7 +137,9 @@ class MobilityServiceTable:
     def check_invariants(self) -> None:
         vpips = [r.virtual_ip for r in self.records.values()]
         assert len(set(vpips)) == len(vpips), "virtual addresses must be distinct"
-        assert set(vpips) == self.used_vpips, "used set out of sync with records"
+        offsets = sorted(int(v) - self._first for v in vpips)
+        assert offsets == self.vpip_offsets, "vpIP offsets out of sync with records"
+        assert all(0 <= o < self._count for o in offsets), "vpIP outside the pool's hosts"
         rips = [r.real_ip for r in self.records.values()]
         assert len(set(rips)) == len(rips), "real->virtual map must be a bijection"
         assert self.uid_by_real_ip == {
@@ -139,21 +147,19 @@ class MobilityServiceTable:
         }, "real IP index out of sync with records"
 
 
-def allocate_vpip(pool: IPv4Network, used: Set[IPv4Address],
+def allocate_vpip(pool: IPv4Network, taken: Sequence[int],
                   rng: random.Random) -> IPv4Address:
     """Uniform draw over the free addresses of ``pool``.
 
-    The draw is ``free[rng.randrange(len(free))]`` over the free hosts in
-    address order, so a fixed seed and call history always yield the same
-    address; the free list itself is never built, only the used hosts are
-    sorted and walked. Members of ``used`` outside the pool's hosts are
-    ignored. Drawing from the free set makes collisions impossible; no
-    retry loop exists.
+    ``taken`` holds the offsets of the allocated hosts from the pool's first
+    host (as ``host_span`` gives it), sorted ascending without repeats; the
+    controller passes ``MobilityServiceTable.vpip_offsets``. The draw is
+    ``free[rng.randrange(len(free))]`` over the free hosts in address order,
+    so a fixed seed and call history always yield the same address; the free
+    list itself is never built, only ``taken`` is walked. Drawing from the
+    free set makes collisions impossible; no retry loop exists.
     """
     first, count = host_span(pool)
-    taken = sorted(
-        offset for offset in (int(a) - first for a in used) if 0 <= offset < count
-    )
     if len(taken) == count:
         raise PoolExhausted(f"virtual address pool {pool} exhausted")
     return IPv4Address(first + nth_free(rng.randrange(count - len(taken)), taken))
@@ -196,7 +202,7 @@ class MobilityController:
         idle_timeout: int = DEFAULT_IDLE_TIMEOUT_US,
         nat_priority: int = NAT_PRIORITY,
     ) -> None:
-        self.mst = MobilityServiceTable()
+        self.mst = MobilityServiceTable(vpip_pool)
         self.vpip_pool = vpip_pool
         self.rng = rng
         self.port_for_ip = port_for_ip
@@ -217,7 +223,7 @@ class MobilityController:
             actions.append(EvictClient(holder.uid))
         record = self.mst.lookup(report.uid)
         if record is None:
-            vpip = allocate_vpip(self.vpip_pool, self.mst.used_vpips, self.rng)
+            vpip = allocate_vpip(self.vpip_pool, self.mst.vpip_offsets, self.rng)
             record = MobilityRecord(report.uid, report.real_ip, vpip, now)
             self.mst.add(record)
             actions.append(self._install_action(record))

@@ -14,7 +14,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, replace
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .packet import Packet, PacketKind
 
@@ -45,7 +45,7 @@ class InstallRejected(FlowEngineError):
     """Rule violates table constraints (e.g. NAT rule at default priority)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowMatch:
     """Exact-match keys; an absent field is a wildcard.
 
@@ -74,7 +74,7 @@ class ActionKind(enum.Enum):
     FORWARD = "forward"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowAction:
     kind: ActionKind
     new_addr: Optional[IPv4Address] = None
@@ -86,6 +86,10 @@ class FlowAction:
                 raise MalformedActions("forward action needs an output port")
         elif self.new_addr is None:
             raise MalformedActions(f"{self.kind.value} action needs an address")
+
+
+_REWRITE_SRC = ActionKind.REWRITE_SRC
+_REWRITE_DST = ActionKind.REWRITE_DST
 
 
 def rewrite_src(addr: IPv4Address) -> FlowAction:
@@ -100,7 +104,9 @@ def forward(port: str) -> FlowAction:
     return FlowAction(ActionKind.FORWARD, out_port=port)
 
 
-@dataclass
+# Rules, matches and actions are slotted: a campus-sized table holds
+# thousands of each, and a slotted instance needs no per-instance dict.
+@dataclass(slots=True)
 class FlowRule:
     match: FlowMatch
     actions: Tuple[FlowAction, ...]
@@ -122,19 +128,16 @@ def apply_actions(rule: FlowRule, pkt: Packet) -> Tuple[Packet, str]:
     """Apply the rule's rewrites in order; returns the rewritten copy and port.
 
     Payload length, sequence number and send timestamp are never touched.
+    ``FlowRule`` guarantees the last action is the rule's only forward.
     """
     out = pkt
-    out_port: Optional[str] = None
     for action in rule.actions:
-        if action.kind is ActionKind.REWRITE_SRC:
+        kind = action.kind
+        if kind is _REWRITE_SRC:
             out = out.with_src(action.new_addr)
-        elif action.kind is ActionKind.REWRITE_DST:
+        elif kind is _REWRITE_DST:
             out = out.with_dst(action.new_addr)
-        else:
-            out_port = action.out_port
-    if out_port is None:
-        raise MalformedActions("rule has no forward action")
-    return out, out_port
+    return out, rule.actions[-1].out_port
 
 
 def snat_rule(real_ip: IPv4Address, virtual_ip: IPv4Address, out_port: str,
@@ -326,8 +329,10 @@ def _better(best: Optional[FlowRule], rule: FlowRule) -> FlowRule:
     return best
 
 
-@dataclass(frozen=True)
-class Forwarded:
+class Forwarded(NamedTuple):
+    """A packet to send on ``out_port``. A named tuple, not a frozen
+    dataclass: one is built for every packet the core forwards."""
+
     packet: Packet
     out_port: str
 

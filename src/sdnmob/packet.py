@@ -32,8 +32,23 @@ class PacketKind(enum.Enum):
     KEEPALIVE = "keepalive"
 
 
-@dataclass(frozen=True)
+# Read once at import: a module global is far cheaper than an enum lookup.
+_DATA = PacketKind.DATA
+_DHCP_DISCOVER = PacketKind.DHCP_DISCOVER
+_DHCP_OFFER = PacketKind.DHCP_OFFER
+
+
+@dataclass(frozen=True, init=False)
 class Packet:
+    """One datagram.
+
+    Frozen: assigning a field raises ``FrozenInstanceError``. ``__init__``
+    validates and then writes the instance ``__dict__`` directly, which skips
+    the per-field ``object.__setattr__`` of a generated frozen ``__init__``.
+    It also stores ``wire_bytes``, the size charged on the wire, once; it is
+    not a dataclass field, so ``==``, ``hash`` and ``repr`` ignore it.
+    """
+
     src_ip: IPv4Address
     dst_ip: IPv4Address
     src_mac: Uid
@@ -46,20 +61,31 @@ class Packet:
     conn_id: int = 0
     ack: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.kind is PacketKind.DATA and self.payload_len <= 0:
-            raise ValueError("data packets must carry payload")
-        if self.payload_len < 0:
-            raise ValueError("negative payload length")
+    def __init__(self, src_ip: IPv4Address, dst_ip: IPv4Address, src_mac: Uid,
+                 payload_len: int, seq: int, sent_at: int, kind: PacketKind,
+                 conn_id: int = 0, ack: Optional[int] = None) -> None:
+        if payload_len <= 0:
+            if kind is _DATA:
+                raise ValueError("data packets must carry payload")
+            if payload_len < 0:
+                raise ValueError("negative payload length")
+        d = self.__dict__
+        d["src_ip"] = src_ip
+        d["dst_ip"] = dst_ip
+        d["src_mac"] = src_mac
+        d["payload_len"] = payload_len
+        d["seq"] = seq
+        d["sent_at"] = sent_at
+        d["kind"] = kind
+        d["conn_id"] = conn_id
+        d["ack"] = ack
+        d["wire_bytes"] = (
+            DHCP_WIRE_BYTES if kind is _DHCP_DISCOVER or kind is _DHCP_OFFER
+            else payload_len + INNER_HEADER_BYTES
+        )
 
-    @property
-    def wire_bytes(self) -> int:
-        if self.kind in (PacketKind.DHCP_DISCOVER, PacketKind.DHCP_OFFER):
-            return DHCP_WIRE_BYTES
-        return self.payload_len + INNER_HEADER_BYTES
-
-    # Rewrites call the constructor directly with every field (cheaper than
-    # ``dataclasses.replace``); ``__post_init__`` still validates the copy.
+    # Rewrites call the constructor with every field (cheaper than
+    # ``dataclasses.replace``), so the copy is validated and sized too.
     def with_src(self, addr: IPv4Address) -> "Packet":
         return Packet(addr, self.dst_ip, self.src_mac, self.payload_len, self.seq,
                       self.sent_at, self.kind, self.conn_id, self.ack)

@@ -8,6 +8,11 @@ that would still be on it.
 
 ``overhead_bytes`` models tunnel encapsulation on that segment: the wire
 time charged per packet grows, the packet itself is untouched.
+
+``Link.in_flight`` counts the packets sent and not yet arrived: ``send``
+raises it when it schedules the arrival, and the arrival lowers it whether
+the packet is delivered or dropped there. The arrival is scheduled as
+``schedule_at(arrival, self._arrive, pkt)``, with no closure per hop.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ class Link:
         deliver: Callable[[Packet, int], None],
         on_drop: Optional[Callable[[Packet, str], None]] = None,
         overhead_bytes: int = 0,
-        tracker=None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -42,30 +46,27 @@ class Link:
         self.deliver = deliver
         self.on_drop = on_drop
         self.overhead_bytes = overhead_bytes
-        self.tracker = tracker
         self.up = True
+        self.in_flight = 0
         self._busy_until = 0
-
-    def wire_time(self, pkt: Packet) -> int:
-        return serialization_us(pkt.wire_bytes + self.overhead_bytes, self.bandwidth_bps)
 
     def send(self, pkt: Packet) -> bool:
         """Queue a packet for transmission; False if dropped at the sender."""
-        now = self.sim.now
         if not self.up:
             self._drop(pkt, "link down at send")
             return False
-        start = max(now, self._busy_until)
-        self._busy_until = start + self.wire_time(pkt)
-        arrival = self._busy_until + self.delay_us
-        if self.tracker is not None:
-            self.tracker.hop_start()
-        self.sim.schedule_at(arrival, lambda: self._arrive(pkt))
+        sim = self.sim
+        start = sim.now if sim.now > self._busy_until else self._busy_until
+        # serialization_us, inlined: this runs once per hop.
+        self._busy_until = start + (
+            (pkt.wire_bytes + self.overhead_bytes) * 8 * US_PER_S // self.bandwidth_bps
+        )
+        self.in_flight += 1
+        sim.schedule_at(self._busy_until + self.delay_us, self._arrive, pkt)
         return True
 
     def _arrive(self, pkt: Packet) -> None:
-        if self.tracker is not None:
-            self.tracker.hop_end()
+        self.in_flight -= 1
         if not self.up:
             self._drop(pkt, "link down at arrival")
             return

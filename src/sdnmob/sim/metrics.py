@@ -137,8 +137,6 @@ class ComparisonSummary:
     mean_rtt_server: Tuple[Optional[float], Optional[float]]
     steady_goodput_bps: Tuple[float, float]
     goodput_ratio_b_over_a: Optional[float]
-    aligned_throughput_a: List[Tuple[float, float]]
-    aligned_throughput_b: List[Tuple[float, float]]
     losses: Tuple[int, int]
     resets: Tuple[int, int]
 
@@ -163,16 +161,9 @@ def compare_runs(a: MetricsTrace, b: MetricsTrace) -> ComparisonSummary:
         mean_rtt_server=(a.mean_rtt_s("server"), b.mean_rtt_s("server")),
         steady_goodput_bps=(steady_a, steady_b),
         goodput_ratio_b_over_a=ratio,
-        aligned_throughput_a=_aligned(a),
-        aligned_throughput_b=_aligned(b),
         losses=(a.losses, b.losses),
         resets=(a.resets, b.resets),
     )
-
-
-def _aligned(trace: MetricsTrace) -> List[Tuple[float, float]]:
-    origin = trace.handoffs[0].detach_us if trace.handoffs else 0
-    return [((t - origin) / US_PER_S, bps) for t, bps in trace.throughput_samples()]
 
 
 def trace_summary_lines(trace: MetricsTrace, prefix: str) -> List[str]:

@@ -28,7 +28,7 @@ from ..controller import (
     DEFAULT_IDLE_TIMEOUT_US,
     LIVENESS_WINDOW_FACTOR,
 )
-from ..flow_engine import FlowMatch, Forwarded, SdnSwitch
+from ..flow_engine import FlowMatch, PacketIn, SdnSwitch
 from ..packet import Packet, PacketKind
 from ..tap_server import (
     DEFAULT_UPDATE_INTERVAL_US,
@@ -49,6 +49,12 @@ ALL_ROUTERS = IPv4Address("224.0.0.2")
 CLIENT_UID = Uid("aa:bb:cc:00:00:01")
 SERVER_UID = Uid("aa:bb:cc:00:00:fe")
 SERVER_ADDR = IPv4Address("203.0.113.10")
+
+# Read once at import: a module global is far cheaper than an enum lookup.
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+_DHCP_DISCOVER = PacketKind.DHCP_DISCOVER
+_ROUTER_SOLICITATION = PacketKind.ROUTER_SOLICITATION
 
 
 class ConfigurationError(ValueError):
@@ -145,10 +151,11 @@ class ClientHost:
             self.net.count("host_drops")
             return
         self.net.count("accepted")
-        if pkt.kind is PacketKind.DATA:
+        kind = pkt.kind
+        if kind is _DATA:
             self.net.note_delivery(now)
             side.receive_data(pkt)
-        elif pkt.kind is PacketKind.ACK:
+        elif kind is _ACK:
             side.receive_ack(pkt)
 
 
@@ -181,17 +188,21 @@ class ServerHost:
             self.net.count("host_drops")
             return
         self.net.count("accepted")
-        if pkt.kind is PacketKind.DATA:
-            self.net.observed_sources.add(str(pkt.src_ip))
+        kind = pkt.kind
+        if kind is _DATA:
             self.net.note_server_data(pkt, now)
             conn = self.conns.get(pkt.conn_id)
+            # A data packet's source is new to the server only when it opens
+            # a connection or resets one, so only those record it.
             if conn is None:
                 conn = self._establish(pkt.conn_id, pkt.src_ip)
+                self.net.observed_sources.add(str(pkt.src_ip))
             elif conn.established_src != pkt.src_ip:
                 self.net.resets += 1
                 conn.established_src = pkt.src_ip
+                self.net.observed_sources.add(str(pkt.src_ip))
             conn.side.receive_data(pkt)
-        elif pkt.kind is PacketKind.ACK:
+        elif kind is _ACK:
             conn = self.conns.get(pkt.conn_id)
             if conn is not None:
                 conn.side.receive_ack(pkt)
@@ -219,26 +230,28 @@ class DistRouter:
     def __init__(self, net: "Network", zone: ZoneConfig):
         self.net = net
         self.zone = zone
+        # The zone's access-down and trunk-up links, set by Network._build_links.
+        self.access_down: Link
+        self.trunk_up: Link
 
     def handle_from_access(self, pkt: Packet, now: int) -> None:
-        if pkt.kind in (PacketKind.DHCP_DISCOVER, PacketKind.ROUTER_SOLICITATION):
+        kind = pkt.kind
+        if kind is _DHCP_DISCOVER or kind is _ROUTER_SOLICITATION:
             self.net.count("consumed")
             return
         if pkt.dst_ip in self.zone.dhcp_range:
-            self.net.access_down[self.zone.zone_id].send(pkt)
+            self.access_down.send(pkt)
         else:
-            self.net.trunk_up[self.zone.zone_id].send(pkt)
+            self.trunk_up.send(pkt)
 
     def handle_from_core(self, pkt: Packet, now: int) -> None:
         # In tunnel mode the gateway acts as the client's access gateway:
         # decapsulated traffic for the attached client's home address goes to
         # the access segment even though the address is zone-foreign.
-        tunneled_local = (
-            self.net.mode is Mode.PMIP
-            and pkt.dst_ip == self.net.client.home_addr
-        )
-        if pkt.dst_ip in self.zone.dhcp_range or tunneled_local:
-            self.net.access_down[self.zone.zone_id].send(pkt)
+        if pkt.dst_ip in self.zone.dhcp_range or (
+            self.net.tunneled and pkt.dst_ip == self.net.client.home_addr
+        ):
+            self.access_down.send(pkt)
         else:
             self.net.count("unrouted_drops")
 
@@ -252,6 +265,7 @@ class Network:
             raise ConfigurationError("tunnel parameters are required in pmip mode")
         self.cfg = cfg
         self.mode = mode
+        self.tunneled = mode is Mode.PMIP  # read per packet, unlike ``mode``
         self.tunnel = tunnel
         self.sim = Simulator()
         self.rng = random.Random(cfg.seed)
@@ -268,8 +282,8 @@ class Network:
         self.counters: Dict[str, int] = {}
         self.last_delivery_us = 0
 
-        # liveness accounting for quiescence detection
-        self.in_flight = 0
+        # liveness accounting for quiescence detection (packets in flight
+        # are counted on the links)
         self.control_outstanding = 0
         self.dhcp_pending = 0
         self.scenario_events_remaining = 0
@@ -292,6 +306,7 @@ class Network:
             for z in cfg.zones
         }
 
+        self._port_cache: Dict[IPv4Address, str] = {}
         self._build_links()
 
         self.controller: Optional[MobilityController] = None
@@ -329,26 +344,27 @@ class Network:
         self.trunk_down: Dict[str, Link] = {}
         for z in cfg.zones:
             zid = z.zone_id
+            dist = self.dists[zid]
             self.access_up[zid] = Link(
                 self.sim, f"access-up:{zid}", bw, d,
                 deliver=self._make_access_up_deliver(zid),
-                on_drop=self._on_drop, tracker=self,
+                on_drop=self._on_drop,
             )
-            self.access_down[zid] = Link(
+            self.access_down[zid] = dist.access_down = Link(
                 self.sim, f"access-down:{zid}", bw, d,
                 deliver=self._make_access_down_deliver(zid),
-                on_drop=self._on_drop, tracker=self,
+                on_drop=self._on_drop,
             )
-            self.trunk_up[zid] = Link(
+            self.trunk_up[zid] = dist.trunk_up = Link(
                 self.sim, f"trunk-up:{zid}", bw, d,
-                deliver=lambda pkt, now: self._core_handle(pkt, now),
-                on_drop=self._on_drop, tracker=self,
+                deliver=self._core_handle,
+                on_drop=self._on_drop,
                 overhead_bytes=trunk_overhead,
             )
             self.trunk_down[zid] = Link(
                 self.sim, f"trunk-down:{zid}", bw, d,
-                deliver=self._make_trunk_down_deliver(zid),
-                on_drop=self._on_drop, tracker=self,
+                deliver=dist.handle_from_core,
+                on_drop=self._on_drop,
                 overhead_bytes=trunk_overhead,
             )
             # the client starts detached everywhere
@@ -356,46 +372,57 @@ class Network:
             self.access_down[zid].set_up(False)
         self.ext_out = Link(
             self.sim, "ext-out", bw, d,
-            deliver=lambda pkt, now: self.server.handle(pkt, now),
-            on_drop=self._on_drop, tracker=self,
+            deliver=self.server.handle,
+            on_drop=self._on_drop,
         )
         self.ext_in = Link(
             self.sim, "ext-in", bw, d,
-            deliver=lambda pkt, now: self._core_handle(pkt, now),
-            on_drop=self._on_drop, tracker=self,
+            deliver=self._core_handle,
+            on_drop=self._on_drop,
         )
+        self.links: List[Link] = [
+            *self.access_up.values(), *self.access_down.values(),
+            *self.trunk_up.values(), *self.trunk_down.values(),
+            self.ext_out, self.ext_in,
+        ]
+        # Core router port name -> the link leaving the core on that port.
+        self._port_links: Dict[str, Link] = {EXT_PORT: self.ext_out}
+        for zid, link in self.trunk_down.items():
+            self._port_links[f"zone:{zid}"] = link
 
     def _make_access_up_deliver(self, zid: str) -> Callable[[Packet, int], None]:
+        tap, dist = self.taps[zid], self.dists[zid]
+
         def deliver(pkt: Packet, now: int) -> None:
-            self._tap_observe(zid, pkt, now)
-            self.dists[zid].handle_from_access(pkt, now)
+            self._tap_observe(tap, pkt, now)
+            dist.handle_from_access(pkt, now)
         return deliver
 
     def _make_access_down_deliver(self, zid: str) -> Callable[[Packet, int], None]:
+        tap, client = self.taps[zid], self.client
+
         def deliver(pkt: Packet, now: int) -> None:
-            self._tap_observe(zid, pkt, now)
-            self.client.handle(pkt, now)
+            self._tap_observe(tap, pkt, now)
+            client.handle(pkt, now)
         return deliver
 
-    def _make_trunk_down_deliver(self, zid: str) -> Callable[[Packet, int], None]:
-        return lambda pkt, now: self.dists[zid].handle_from_core(pkt, now)
-
     def _port_for_ip(self, addr: IPv4Address) -> str:
-        for z in self.cfg.zones:
-            if addr in z.dhcp_range:
-                return f"zone:{z.zone_id}"
-        return EXT_PORT
+        """The core port that reaches ``addr``: its zone's, else external.
+        Zones never change during a run, so each answer is cached."""
+        port = self._port_cache.get(addr)
+        if port is None:
+            port = EXT_PORT
+            for z in self.cfg.zones:
+                if addr in z.dhcp_range:
+                    port = f"zone:{z.zone_id}"
+                    break
+            self._port_cache[addr] = port
+        return port
 
-    # -- counters / trackers ---------------------------------------------------
+    # -- counters ----------------------------------------------------------------
 
     def count(self, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
-
-    def hop_start(self) -> None:
-        self.in_flight += 1
-
-    def hop_end(self) -> None:
-        self.in_flight -= 1
 
     def _on_drop(self, pkt: Packet, reason: str) -> None:
         self.count("link_drops")
@@ -416,8 +443,8 @@ class Network:
 
     # -- tap / control plane ----------------------------------------------------
 
-    def _tap_observe(self, zid: str, pkt: Packet, now: int) -> None:
-        report = self.taps[zid].observe_packet(pkt, now)
+    def _tap_observe(self, tap: TapServer, pkt: Packet, now: int) -> None:
+        report = tap.observe_packet(pkt, now)
         if report is not None:
             # The control channel carries the ASCII wire form; parsing on
             # delivery keeps the format honest on every message.
@@ -427,12 +454,11 @@ class Network:
 
     def _control_send(self, fn: Callable[[], None]) -> None:
         self.control_outstanding += 1
+        self.sim.schedule(self.cfg.control_delay_us, self._control_arrive, fn)
 
-        def run() -> None:
-            self.control_outstanding -= 1
-            fn()
-
-        self.sim.schedule(self.cfg.control_delay_us, run)
+    def _control_arrive(self, fn: Callable[[], None]) -> None:
+        self.control_outstanding -= 1
+        fn()
 
     def _deliver_report(self, report: HostReport) -> None:
         if self.controller is None:
@@ -484,26 +510,25 @@ class Network:
     # -- core router -------------------------------------------------------------
 
     def _core_handle(self, pkt: Packet, now: int) -> None:
-        if self.mode is Mode.PMIP:
+        if self.tunneled:
             self._lma_route(pkt)
             return
         decision = self.switch.process_packet(pkt, now)
-        if isinstance(decision, Forwarded):
-            self._core_send(decision.packet, decision.out_port)
-        else:
+        if decision.__class__ is PacketIn:
             self._control_send(lambda: self._controller_packet_in(pkt))
+        else:
+            self._core_send(*decision)
 
     def _controller_packet_in(self, pkt: Packet) -> None:
         actions = self.controller.handle_packet_in(pkt, self.sim.now)
         self._dispatch_actions(actions)
 
     def _core_send(self, pkt: Packet, port: str) -> None:
-        if port == EXT_PORT:
-            self.ext_out.send(pkt)
-        elif port.startswith("zone:"):
-            self.trunk_down[port.split(":", 1)[1]].send(pkt)
-        else:
+        link = self._port_links.get(port)
+        if link is None:
             self.count("unrouted_drops")
+        else:
+            link.send(pkt)
 
     def _lma_route(self, pkt: Packet) -> None:
         if self.client.home_addr is not None and pkt.dst_ip == self.client.home_addr:
@@ -606,7 +631,7 @@ class Network:
             self.sim.schedule_at(EXPIRY_TICK_US, self._expiry_tick)
             for zid in self.taps:
                 self.sim.schedule_at(self.cfg.keepalive_interval_us,
-                                     lambda z=zid: self._keepalive_tick(z))
+                                     self._keepalive_tick, zid)
 
     def _expiry_tick(self) -> None:
         now = self.sim.now
@@ -626,11 +651,11 @@ class Network:
                 lambda w=wire: self._deliver_report(HostReport.parse(w)))
         if not self.finished():
             self.sim.schedule(self.cfg.keepalive_interval_us,
-                              lambda: self._keepalive_tick(zone_id))
+                              self._keepalive_tick, zone_id)
 
     def is_idle(self) -> bool:
-        if self.echo_active or self.in_flight or self.control_outstanding \
-                or self.dhcp_pending:
+        if self.echo_active or self.control_outstanding or self.dhcp_pending \
+                or any(link.in_flight for link in self.links):
             return False
         sides = list(self.client.conns.values()) + [
             c.side for c in self.server.conns.values()

@@ -27,6 +27,9 @@ MIN_RTO_US = 1_000
 RTO_FACTOR = 4
 SRTT_ALPHA = 0.125
 
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+
 
 @dataclass
 class SegMeta:
@@ -106,17 +109,10 @@ class TransportSide:
             self._arm_timer()
 
     def _transmit_segment(self, seq: int, payload_len: int, retransmit: bool) -> None:
-        now = self.host.sim.now
-        pkt = Packet(
-            src_ip=self.host.addr,
-            dst_ip=self.host.peer_addr(self.conn_id),
-            src_mac=self.host.uid,
-            payload_len=payload_len,
-            seq=seq,
-            sent_at=now,
-            kind=PacketKind.DATA,
-            conn_id=self.conn_id,
-        )
+        host = self.host
+        now = host.sim.now
+        pkt = Packet(host.addr, host.peer_addr(self.conn_id), host.uid, payload_len,
+                     seq, now, _DATA, self.conn_id)
         if retransmit:
             meta = self.unacked[seq]
             meta.retransmitted = True
@@ -125,7 +121,7 @@ class TransportSide:
         else:
             self.unacked[seq] = SegMeta(payload_len, now)
         self.transmissions += 1
-        self.host.transmit(pkt)
+        host.transmit(pkt)
 
     def _rto(self) -> int:
         if self.srtt is None:
@@ -135,8 +131,7 @@ class TransportSide:
     def _arm_timer(self) -> None:
         self._timer_epoch += 1
         self._timer_armed = True
-        epoch = self._timer_epoch
-        self.host.sim.schedule(self._rto(), lambda: self._on_timeout(epoch))
+        self.host.sim.schedule(self._rto(), self._on_timeout, self._timer_epoch)
 
     def _disarm_timer(self) -> None:
         self._timer_epoch += 1
@@ -156,15 +151,16 @@ class TransportSide:
         self._arm_timer()
 
     def receive_ack(self, pkt: Packet) -> None:
-        assert pkt.ack is not None
-        newly_acked = []
-        while self.unacked:
-            seq = next(iter(self.unacked))
-            if seq >= pkt.ack:
+        ack = pkt.ack
+        assert ack is not None
+        unacked = self.unacked
+        meta = None  # the newest segment this ack covers
+        while unacked:
+            seq = next(iter(unacked))
+            if seq >= ack:
                 break
-            newly_acked.append((seq, self.unacked.pop(seq)))
-        if newly_acked:
-            seq, meta = newly_acked[-1]
+            meta = unacked.pop(seq)
+        if meta is not None:
             if not meta.retransmitted:
                 self._sample_rtt(meta)
             self._disarm_timer()
@@ -217,19 +213,11 @@ class TransportSide:
             self.on_deliver(self.host.sim.now, payload_len)
 
     def _send_ack(self) -> None:
-        if self.host.addr is None:
+        host = self.host
+        if host.addr is None:
             return
-        pkt = Packet(
-            src_ip=self.host.addr,
-            dst_ip=self.host.peer_addr(self.conn_id),
-            src_mac=self.host.uid,
-            payload_len=0,
-            seq=self._ack_seq,
-            sent_at=self.host.sim.now,
-            kind=PacketKind.ACK,
-            conn_id=self.conn_id,
-            ack=self.expected,
-        )
+        pkt = Packet(host.addr, host.peer_addr(self.conn_id), host.uid, 0,
+                     self._ack_seq, host.sim.now, _ACK, self.conn_id, self.expected)
         self._ack_seq += 1
         self.transmissions += 1
-        self.host.transmit(pkt)
+        host.transmit(pkt)

@@ -65,6 +65,8 @@ class TapServer:
         update_interval: int = DEFAULT_UPDATE_INTERVAL_US,
     ) -> None:
         self.zone = zone
+        # Read once here, not on every tapped packet.
+        self._discovery_only = zone.tap_filter is TapFilter.DHCP_AND_RS_ONLY
         self.update_interval = update_interval
         self.buffer: Dict[IPv4Address, TimeBufferEntry] = {}
         self.last_emit: int = 0
@@ -78,23 +80,26 @@ class TapServer:
         sources outside the zone's range are rejected without touching the
         buffer, and already-known bindings only refresh their timestamp.
         """
-        if self.zone.tap_filter is TapFilter.DHCP_AND_RS_ONLY:
-            if pkt.kind not in _DISCOVERY_KINDS:
-                return None
-        if pkt.src_ip == UNSPECIFIED:
+        if self._discovery_only and pkt.kind not in _DISCOVERY_KINDS:
+            return None
+        src = pkt.src_ip
+        now_ms = now // US_PER_MS
+        # Only addressed in-range sources enter the buffer, so a buffered
+        # source needs neither check below.
+        entry = self.buffer.get(src)
+        if entry is not None and entry.uid == pkt.src_mac:
+            if now_ms > entry.last_seen_ms:
+                entry.last_seen_ms = now_ms
+            return None
+        if src == UNSPECIFIED:
             self.ignored_unaddressed += 1
             return None
-        if pkt.src_ip not in self.zone.dhcp_range:
+        if src not in self.zone.dhcp_range:
             self.rejected_spoofed += 1
             return None
-        now_ms = now // US_PER_MS
-        entry = self.buffer.get(pkt.src_ip)
-        if entry is not None and entry.uid == pkt.src_mac:
-            entry.last_seen_ms = max(entry.last_seen_ms, now_ms)
-            return None
         # New address, or the address changed hands (DHCP reuse): report.
-        self.buffer[pkt.src_ip] = TimeBufferEntry(pkt.src_ip, pkt.src_mac, now_ms)
-        return HostReport(pkt.src_mac, pkt.src_ip)
+        self.buffer[src] = TimeBufferEntry(src, pkt.src_mac, now_ms)
+        return HostReport(pkt.src_mac, src)
 
     def tick(self, now: int) -> List[HostReport]:
         """Keepalive pass: at each interval boundary, re-report every live

@@ -6,8 +6,8 @@ from ipaddress import IPv4Address, IPv4Network
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnmob.addressing import AddressPool, PoolExhausted, host_span
-from sdnmob.controller import allocate_vpip
+from sdnmob.addressing import AddressPool, PoolExhausted, Uid, host_span
+from sdnmob.controller import MobilityRecord, MobilityServiceTable, allocate_vpip
 
 BASE = int(IPv4Address("198.18.0.0"))
 
@@ -47,15 +47,46 @@ def test_host_span_matches_hosts(prefix):
 @settings(max_examples=300, deadline=None)
 def test_vpip_draw_equals_free_list_draw(case):
     pool, used, seed = case
+    # allocate_vpip takes the sorted offsets of the used hosts; the other
+    # members of ``used`` are not hosts and cannot be drawn anyway.
+    first, count = host_span(pool)
+    taken = sorted(int(a) - first for a in used if 0 <= int(a) - first < count)
     rng, ref_rng = random.Random(seed), random.Random(seed)
     try:
         expected = reference_draw(list(pool.hosts()), used, ref_rng)
     except PoolExhausted:
         with pytest.raises(PoolExhausted):
-            allocate_vpip(pool, used, rng)
+            allocate_vpip(pool, taken, rng)
     else:
-        assert allocate_vpip(pool, used, rng) == expected
+        assert allocate_vpip(pool, taken, rng) == expected
     assert rng.getstate() == ref_rng.getstate()
+
+
+@given(st.integers(0, 2**32), st.lists(st.booleans(), min_size=1, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_table_offsets_drive_free_list_draws(seed, steps):
+    """Draws from the mobility table's offsets, kept through adds and
+    removes, equal the free-list draws over its records' addresses."""
+    pool = IPv4Network("198.18.0.0/27")  # 30 hosts: long runs exhaust it
+    hosts, mst = list(pool.hosts()), MobilityServiceTable(pool)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for i, add in enumerate(steps):
+        if add or not mst.records:
+            used = {r.virtual_ip for r in mst.records.values()}
+            try:
+                expected = reference_draw(hosts, used, ref_rng)
+            except PoolExhausted:
+                with pytest.raises(PoolExhausted):
+                    allocate_vpip(pool, mst.vpip_offsets, rng)
+            else:
+                vpip = allocate_vpip(pool, mst.vpip_offsets, rng)
+                assert vpip == expected
+                real_ip = IPv4Address(int(IPv4Address("10.0.0.1")) + i)
+                mst.add(MobilityRecord(Uid.from_int(i), real_ip, vpip, 0))
+        else:
+            mst.remove(next(iter(mst.records)))
+        mst.check_invariants()
+        assert rng.getstate() == ref_rng.getstate()
 
 
 @given(st.integers(22, 32), st.integers(0, 2**32), st.integers(1, 40))

@@ -1,5 +1,6 @@
 """Mobility table, discovery report handling and virtual address allocation."""
 
+import bisect
 import random
 from ipaddress import IPv4Address, IPv4Network
 
@@ -167,35 +168,37 @@ class TestHostReports:
 
 
 class TestAllocate:
+    # allocate_vpip takes the sorted offsets of the taken hosts from the
+    # pool's first host.
     def test_single_free_address_is_forced(self):
         pool = IPv4Network("192.0.2.0/30")  # hosts .1 and .2
-        used = {IPv4Address("192.0.2.1")}
-        got = allocate_vpip(pool, used, random.Random(0))
+        taken = [0]  # 192.0.2.1
+        got = allocate_vpip(pool, taken, random.Random(0))
         assert got == IPv4Address("192.0.2.2")
 
     def test_golden_first_draw(self):
         # documented algorithm: uniform index into the address-ordered free
         # list; for a fresh /24 and seed 42 that is offset 163.
-        got = allocate_vpip(POOL, set(), random.Random(42))
+        got = allocate_vpip(POOL, [], random.Random(42))
         assert got == IPv4Address("198.51.100.164")
         hosts = list(POOL.hosts())
         assert got == hosts[random.Random(42).randrange(len(hosts))]
 
     def test_exhausted_pool_raises(self):
         pool = IPv4Network("192.0.2.0/30")
-        used = {IPv4Address("192.0.2.1"), IPv4Address("192.0.2.2")}
+        taken = [0, 1]  # 192.0.2.1 and 192.0.2.2
         with pytest.raises(PoolExhausted):
-            allocate_vpip(pool, used, random.Random(0))
+            allocate_vpip(pool, taken, random.Random(0))
 
     def test_deterministic_for_fixed_seed(self):
         seq_a = []
         seq_b = []
         for target in (seq_a, seq_b):
             rng = random.Random(2024)
-            used = set()
+            taken = []
             for _ in range(20):
-                addr = allocate_vpip(POOL, used, rng)
-                used.add(addr)
+                addr = allocate_vpip(POOL, taken, rng)
+                bisect.insort(taken, int(addr) - int(POOL.network_address) - 1)
                 target.append(addr)
         assert seq_a == seq_b
 

@@ -47,6 +47,28 @@ class TestSimulator:
         assert fired == [1]
         assert sim.pending() == 1
 
+    def test_events_with_arguments_interleave_in_time_and_insertion_order(self):
+        sim = Simulator()
+        order = []
+        sim.schedule_at(5, order.append, "a")
+        sim.schedule_at(5, lambda: order.append("b"))
+        sim.schedule_at(3, lambda: order.append("c"))
+        sim.schedule_at(5, order.extend, ["d", "e"])
+        sim.schedule(3, lambda: order.append("f"))
+        sim.schedule(3, order.append, "g")
+        sim.run()
+        assert order == ["c", "f", "g", "a", "b", "d", "e"]
+
+    def test_equal_keys_never_compare_callables_or_arguments(self):
+        # Neither functions nor dicts order, so a tie that fell through to
+        # them would raise TypeError.
+        sim = Simulator()
+        seen = []
+        for i in range(4):
+            sim.schedule_at(7, seen.append, {"i": i})
+        sim.run()
+        assert seen == [{"i": 0}, {"i": 1}, {"i": 2}, {"i": 3}]
+
 
 class TestLinkTiming:
     def test_serialization_math(self):
@@ -102,3 +124,40 @@ class TestLinkTiming:
         sim.schedule_at(100, lambda: link.set_up(False))
         sim.run()
         assert outcomes == ["link down at arrival"]
+
+
+class TestInFlight:
+    def test_rises_on_send_and_falls_at_arrival(self):
+        sim = Simulator()
+        seen = []
+        link = Link(sim, "l", 10_000_000, 1_000,
+                    deliver=lambda p, now: seen.append(link.in_flight))
+        assert link.in_flight == 0
+        link.send(pkt(seq=0))
+        link.send(pkt(seq=1))
+        assert link.in_flight == 2
+        sim.run()
+        # each arrival is counted off before the packet is delivered
+        assert seen == [1, 0]
+        assert link.in_flight == 0
+
+    def test_falls_when_dropped_at_arrival(self):
+        sim = Simulator()
+        drops = []
+        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p, now: None,
+                    on_drop=lambda p, reason: drops.append(link.in_flight))
+        link.send(pkt())
+        sim.schedule_at(100, lambda: link.set_up(False))
+        sim.run(until=100)
+        assert link.in_flight == 1
+        sim.run()
+        assert drops == [0]
+        assert link.in_flight == 0
+
+    def test_drop_at_send_never_counts(self):
+        sim = Simulator()
+        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p, now: None)
+        link.set_up(False)
+        assert link.send(pkt()) is False
+        assert link.in_flight == 0
+        assert sim.pending() == 0

@@ -1,13 +1,14 @@
 """End-to-end simulation behavior: topology build, mobility, baselines,
 conservation and causality."""
 
-from ipaddress import IPv4Network
+from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnmob.addressing import PoolExhausted
 from sdnmob.config import bundled_scenario_path, load_config
+from sdnmob.packet import Packet, PacketKind
 from sdnmob.sim import (
     Mode,
     MoveClient,
@@ -26,6 +27,7 @@ from sdnmob.sim import (
 from sdnmob.sim.metrics import ComparisonError
 from sdnmob.sim.runner import move_client, validate_events
 from sdnmob.sim.runner import StartBulkTransfer
+from sdnmob.sim.topology import SERVER_ADDR, SERVER_UID
 from sdnmob.tap_server import ZoneConfig
 from sdnmob.units import US_PER_S, usec
 
@@ -77,6 +79,33 @@ class TestBuildTopology:
     def test_pmip_mode_requires_tunnel(self):
         with pytest.raises(Exception):
             build_topology(two_zone_cfg(), Mode.PMIP, None)
+
+
+class TestIdle:
+    @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP])
+    def test_not_idle_while_any_link_holds_a_packet(self, mode):
+        net = build_topology(two_zone_cfg(), mode, TunnelConfig())
+        assert net.is_idle()
+        # server -> core -> server: routed back out by the default route
+        # and dropped at the server, which is not its destination
+        net.ext_in.send(Packet(SERVER_ADDR, IPv4Address("192.0.2.1"), SERVER_UID,
+                               100, 0, 0, PacketKind.DATA))
+        assert [link.name for link in net.links if link.in_flight] == ["ext-in"]
+        assert not net.is_idle()
+        second_hop = []
+        send = net.ext_out.send
+
+        def probe(pkt):
+            sent = send(pkt)
+            second_hop.append((net.ext_in.in_flight, net.ext_out.in_flight,
+                               net.is_idle()))
+            return sent
+
+        net.ext_out.send = probe
+        net.sim.run(until=usec(1))
+        assert second_hop == [(0, 1, False)]
+        assert net.is_idle()
+        assert net.counters["host_drops"] == 1
 
 
 class TestMoveAndDhcp:
