@@ -85,9 +85,6 @@ class AddressPool:
         self._first, self._count = host_span(network)
         self._used: List[int] = []
 
-    def __contains__(self, addr: IPv4Address) -> bool:
-        return addr in self.network
-
     @property
     def used(self) -> Set[IPv4Address]:
         return {IPv4Address(self._first + offset) for offset in self._used}

@@ -21,7 +21,7 @@ from .sim.metrics import (
     trace_summary_lines,
     write_csv,
 )
-from .sim.runner import run_pmip_baseline, run_scenario
+from .sim.runner import run_scenario
 from .sim.topology import Mode, build_topology
 
 OUTPUT_DIR_ENV = "SDNMOB_OUTPUT_DIR"
@@ -38,15 +38,10 @@ def run_config(config: RunConfig, scenario_name: str) -> int:
     traces: Dict[str, MetricsTrace] = {}
     artifacts: List[str] = []
     for mode_name in modes:
-        if mode_name == "sdn":
-            net = build_topology(config.topology, Mode.SDN)
-            trace = run_scenario(net, config.events)
-        else:
-            net = build_topology(config.topology, Mode.PMIP, config.tunnel)
-            trace = run_pmip_baseline(net, config.events, config.tunnel)
-        traces[mode_name] = trace
+        net = build_topology(config.topology, Mode(mode_name), config.tunnel)
+        traces[mode_name] = run_scenario(net, config.events)
         csv_path = os.path.join(config.output_dir, f"metrics_{mode_name}.csv")
-        write_csv(trace, csv_path)
+        write_csv(traces[mode_name], csv_path)
         artifacts.append(csv_path)
 
     lines = [

@@ -429,6 +429,3 @@ class SdnSwitch:
                 keep.append(entry)
         self.pending = keep
         return released
-
-    def expire_flows(self, now: int) -> List[FlowRule]:
-        return self.table.expire(now)

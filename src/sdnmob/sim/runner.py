@@ -112,10 +112,7 @@ def move_client(net: Network, zone_id: str) -> None:
         raise ScenarioError(f"client already attached to {zone_id!r}")
     if net.client.in_dhcp:
         raise ScenarioError("mobility event during address acquisition")
-    now = net.sim.now
-    net.handoffs.append(HandoffRecord(detach_us=now))
-    if net.controller is not None:
-        net._pending_mst_capture = (now, net.controller.mst.snapshot())
+    net.handoffs.append(HandoffRecord(detach_us=net.sim.now))
     net.detach_client()
     net.attach_client(zone_id)
 

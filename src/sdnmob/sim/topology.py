@@ -1,12 +1,15 @@
-"""Simulated testbed: one SDN core router, one distribution router and tap
-server per zone, one mobile client, one external server.
+"""Simulated testbed: one core router, one distribution router per zone,
+one mobile client, one external server.
 
-The same topology runs in two modes. In SDN mode the core translates the
-client's zone-local address to its stable virtual address according to the
-flow table, fed by tap-server discovery. In the tunneling baseline the core
-acts as the mobility anchor: the client keeps one home address, packets on
-the distribution-core segment carry encapsulation overhead, and handoffs
-redirect the tunnel only after a binding update completes.
+``Network`` is the routed network both modes share: hosts, zone gateways,
+links, DHCP, metrics and quiescence. Each mode adds its core to it.
+``SdnNetwork`` adds the least set of SDN features: per-zone tap servers, the
+controller and a flow-table core that translates the client's zone-local
+address to its stable virtual address. ``TunnelNetwork`` is the tunneling
+baseline: the core is the mobility anchor, the client keeps one home
+address, packets on the distribution-core segment carry encapsulation
+overhead, and a handoff redirects the tunnel only after its binding update
+completes. ``build_topology`` picks the class for a mode.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ _DATA = PacketKind.DATA
 _ACK = PacketKind.ACK
 _DHCP_DISCOVER = PacketKind.DHCP_DISCOVER
 _ROUTER_SOLICITATION = PacketKind.ROUTER_SOLICITATION
+
+Deliver = Callable[[Packet, int], None]
 
 
 class ConfigurationError(ValueError):
@@ -118,15 +123,14 @@ class TunnelConfig:
 
 
 class ClientHost:
-    """The mobile client: one attachment at a time, address from the current
-    zone (or a stable home address in tunnel mode)."""
+    """The mobile client: one attachment at a time, address leased by the
+    network on each attach."""
 
     def __init__(self, net: "Network", uid: Uid):
         self.net = net
         self.sim = net.sim
         self.uid = uid
         self.addr: Optional[IPv4Address] = None
-        self.home_addr: Optional[IPv4Address] = None
         self.current_zone: Optional[str] = None
         self.conns: Dict[int, TransportSide] = {}
         self.in_dhcp = False
@@ -245,28 +249,21 @@ class DistRouter:
             self.trunk_up.send(pkt)
 
     def handle_from_core(self, pkt: Packet, now: int) -> None:
-        # In tunnel mode the gateway acts as the client's access gateway:
-        # decapsulated traffic for the attached client's home address goes to
-        # the access segment even though the address is zone-foreign.
-        if pkt.dst_ip in self.zone.dhcp_range or (
-            self.net.tunneled and pkt.dst_ip == self.net.client.home_addr
-        ):
-            self.access_down.send(pkt)
-        else:
-            self.net.count("unrouted_drops")
+        # The core sends a zone only traffic for the zone's own leases, or
+        # (tunnel mode) for the home address it bound to this zone.
+        self.access_down.send(pkt)
 
 
 class Network:
-    """All simulation state for one run. Build one network per run."""
+    """The routed network both modes share: hosts, zone gateways, links,
+    DHCP, metrics and quiescence. A mode subclass supplies the core
+    (``_core_handle``), the lease draw (``_lease``) and the core's buffer
+    counts (``_buffer_counts``). Build one network per run."""
 
-    def __init__(self, cfg: TopologyConfig, mode: Mode = Mode.SDN,
-                 tunnel: Optional[TunnelConfig] = None):
-        if mode is Mode.PMIP and tunnel is None:
-            raise ConfigurationError("tunnel parameters are required in pmip mode")
+    mode: Mode
+
+    def __init__(self, cfg: TopologyConfig, trunk_overhead_bytes: int = 0):
         self.cfg = cfg
-        self.mode = mode
-        self.tunneled = mode is Mode.PMIP  # read per packet, unlike ``mode``
-        self.tunnel = tunnel
         self.sim = Simulator()
         self.rng = random.Random(cfg.seed)
 
@@ -292,7 +289,6 @@ class Network:
         self.consumed = False
         self.echo_conn_ids: set = set()
         self._next_conn_id = 0
-        self._pending_mst_capture: Optional[Tuple[int, Dict[str, tuple]]] = None
 
         self.dhcp_pools: Dict[str, AddressPool] = {
             z.zone_id: AddressPool(z.dhcp_range) for z in cfg.zones
@@ -301,43 +297,20 @@ class Network:
         self.server = ServerHost(self, SERVER_UID, SERVER_ADDR)
         self.client = ClientHost(self, CLIENT_UID)
         self.dists = {z.zone_id: DistRouter(self, z) for z in cfg.zones}
-        self.taps = {
-            z.zone_id: TapServer(z, update_interval=cfg.keepalive_interval_us)
-            for z in cfg.zones
-        }
 
         self._port_cache: Dict[IPv4Address, str] = {}
-        self._build_links()
-
-        self.controller: Optional[MobilityController] = None
-        self.switch: Optional[SdnSwitch] = None
-        self.bound_zone: Optional[str] = None
-        if mode is Mode.SDN:
-            self.controller = MobilityController(
-                cfg.vpip_pool,
-                self.rng,
-                port_for_ip=self._port_for_ip,
-                external_port=EXT_PORT,
-                idle_timeout=cfg.idle_timeout_us,
-            )
-            self.switch = SdnSwitch(
-                local_ranges=[z.dhcp_range for z in cfg.zones],
-                route_port=self._port_for_ip,
-                default_port=EXT_PORT,
-                buffer_timeout=1 * US_PER_S,
-            )
-
-        self._schedule_ticks()
+        self._build_links(trunk_overhead_bytes)
 
     # -- wiring --------------------------------------------------------------
 
-    def _build_links(self) -> None:
+    def _build_links(self, trunk_overhead: int) -> None:
         cfg = self.cfg
-        bw, d = cfg.link_bandwidth_bps, cfg.link_delay_us
-        trunk_overhead = (
-            self.tunnel.encap_overhead_bytes
-            if self.mode is Mode.PMIP and self.tunnel else 0
-        )
+
+        def link(name: str, deliver: Deliver, overhead: int = 0) -> Link:
+            return Link(self.sim, name, cfg.link_bandwidth_bps, cfg.link_delay_us,
+                        deliver=deliver, on_drop=self._on_drop,
+                        overhead_bytes=overhead)
+
         self.access_up: Dict[str, Link] = {}
         self.access_down: Dict[str, Link] = {}
         self.trunk_up: Dict[str, Link] = {}
@@ -345,41 +318,19 @@ class Network:
         for z in cfg.zones:
             zid = z.zone_id
             dist = self.dists[zid]
-            self.access_up[zid] = Link(
-                self.sim, f"access-up:{zid}", bw, d,
-                deliver=self._make_access_up_deliver(zid),
-                on_drop=self._on_drop,
-            )
-            self.access_down[zid] = dist.access_down = Link(
-                self.sim, f"access-down:{zid}", bw, d,
-                deliver=self._make_access_down_deliver(zid),
-                on_drop=self._on_drop,
-            )
-            self.trunk_up[zid] = dist.trunk_up = Link(
-                self.sim, f"trunk-up:{zid}", bw, d,
-                deliver=self._core_handle,
-                on_drop=self._on_drop,
-                overhead_bytes=trunk_overhead,
-            )
-            self.trunk_down[zid] = Link(
-                self.sim, f"trunk-down:{zid}", bw, d,
-                deliver=dist.handle_from_core,
-                on_drop=self._on_drop,
-                overhead_bytes=trunk_overhead,
-            )
+            up_deliver, down_deliver = self._access_delivers(zid)
+            self.access_up[zid] = link(f"access-up:{zid}", up_deliver)
+            self.access_down[zid] = dist.access_down = link(
+                f"access-down:{zid}", down_deliver)
+            self.trunk_up[zid] = dist.trunk_up = link(
+                f"trunk-up:{zid}", self._core_handle, trunk_overhead)
+            self.trunk_down[zid] = link(
+                f"trunk-down:{zid}", dist.handle_from_core, trunk_overhead)
             # the client starts detached everywhere
             self.access_up[zid].set_up(False)
             self.access_down[zid].set_up(False)
-        self.ext_out = Link(
-            self.sim, "ext-out", bw, d,
-            deliver=self.server.handle,
-            on_drop=self._on_drop,
-        )
-        self.ext_in = Link(
-            self.sim, "ext-in", bw, d,
-            deliver=self._core_handle,
-            on_drop=self._on_drop,
-        )
+        self.ext_out = link("ext-out", self.server.handle)
+        self.ext_in = link("ext-in", self._core_handle)
         self.links: List[Link] = [
             *self.access_up.values(), *self.access_down.values(),
             *self.trunk_up.values(), *self.trunk_down.values(),
@@ -390,21 +341,9 @@ class Network:
         for zid, link in self.trunk_down.items():
             self._port_links[f"zone:{zid}"] = link
 
-    def _make_access_up_deliver(self, zid: str) -> Callable[[Packet, int], None]:
-        tap, dist = self.taps[zid], self.dists[zid]
-
-        def deliver(pkt: Packet, now: int) -> None:
-            self._tap_observe(tap, pkt, now)
-            dist.handle_from_access(pkt, now)
-        return deliver
-
-    def _make_access_down_deliver(self, zid: str) -> Callable[[Packet, int], None]:
-        tap, client = self.taps[zid], self.client
-
-        def deliver(pkt: Packet, now: int) -> None:
-            self._tap_observe(tap, pkt, now)
-            client.handle(pkt, now)
-        return deliver
+    def _access_delivers(self, zid: str) -> Tuple[Deliver, Deliver]:
+        """Where the zone's access-up and access-down links deliver."""
+        return self.dists[zid].handle_from_access, self.client.handle
 
     def _port_for_ip(self, addr: IPv4Address) -> str:
         """The core port that reaches ``addr``: its zone's, else external.
@@ -441,104 +380,22 @@ class Network:
             if h.first_delivery_us is None and pkt.sent_at > h.detach_us:
                 h.first_delivery_us = now
 
-    # -- tap / control plane ----------------------------------------------------
+    # -- control channel and core ------------------------------------------------
 
-    def _tap_observe(self, tap: TapServer, pkt: Packet, now: int) -> None:
-        report = tap.observe_packet(pkt, now)
-        if report is not None:
-            # The control channel carries the ASCII wire form; parsing on
-            # delivery keeps the format honest on every message.
-            wire = report.serialize()
-            self._control_send(
-                lambda: self._deliver_report(HostReport.parse(wire)))
-
-    def _control_send(self, fn: Callable[[], None]) -> None:
+    def _control_send(self, delay: int, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` after ``delay``; the run is not idle meanwhile."""
         self.control_outstanding += 1
-        self.sim.schedule(self.cfg.control_delay_us, self._control_arrive, fn)
+        self.sim.schedule(delay, self._control_arrive, fn, *args)
 
-    def _control_arrive(self, fn: Callable[[], None]) -> None:
+    def _control_arrive(self, fn: Callable[..., None], *args) -> None:
         self.control_outstanding -= 1
-        fn()
-
-    def _deliver_report(self, report: HostReport) -> None:
-        if self.controller is None:
-            return
-        capture = self._pending_mst_capture
-        actions = self.controller.handle_host_report(report, self.sim.now)
-        if capture is not None and report.uid == self.client.uid:
-            record = self.controller.mst.lookup(self.client.uid)
-            before_rip = capture[1].get(self.client.uid.text, (None,))[0]
-            if record is not None and str(record.real_ip) != before_rip:
-                self.mst_transitions.append(
-                    MstTransition(capture[0], capture[1], self.controller.mst.snapshot())
-                )
-                self._pending_mst_capture = None
-        self._dispatch_actions(actions)
-
-    def _dispatch_actions(self, actions: List[ControlAction]) -> None:
-        for action in actions:
-            if isinstance(action, InstallFlows):
-                self._control_send(lambda a=action: self._apply_install(a))
-            elif isinstance(action, RefreshFlows):
-                self._control_send(lambda a=action: self._apply_refresh(a))
-            elif isinstance(action, EvictClient):
-                self.flow_events.append((self.sim.now, f"evict {action.uid}"))
-
-    def _apply_install(self, action: InstallFlows) -> None:
-        now = self.sim.now
-        self.switch.install(action.snat, now)
-        self.switch.install(action.dnat, now)
-        self.flow_events.append(
-            (now, f"install snat {action.snat.match.src_ip}")
-        )
-        self.flow_events.append(
-            (now, f"install dnat {action.dnat.match.dst_ip}")
-        )
-        for decision in self.switch.drain(now):
-            self._core_send(decision.packet, decision.out_port)
-
-    def _apply_refresh(self, action: RefreshFlows) -> None:
-        record = self.controller.mst.lookup(action.uid)
-        if record is None:
-            return
-        now = self.sim.now
-        self.switch.table.touch(FlowMatch(src_ip=record.real_ip),
-                                self.controller.nat_priority, now)
-        self.switch.table.touch(FlowMatch(dst_ip=record.virtual_ip),
-                                self.controller.nat_priority, now)
-
-    # -- core router -------------------------------------------------------------
+        fn(*args)
 
     def _core_handle(self, pkt: Packet, now: int) -> None:
-        if self.tunneled:
-            self._lma_route(pkt)
-            return
-        decision = self.switch.process_packet(pkt, now)
-        if decision.__class__ is PacketIn:
-            self._control_send(lambda: self._controller_packet_in(pkt))
-        else:
-            self._core_send(*decision)
-
-    def _controller_packet_in(self, pkt: Packet) -> None:
-        actions = self.controller.handle_packet_in(pkt, self.sim.now)
-        self._dispatch_actions(actions)
+        raise NotImplementedError
 
     def _core_send(self, pkt: Packet, port: str) -> None:
-        link = self._port_links.get(port)
-        if link is None:
-            self.count("unrouted_drops")
-        else:
-            link.send(pkt)
-
-    def _lma_route(self, pkt: Packet) -> None:
-        if self.client.home_addr is not None and pkt.dst_ip == self.client.home_addr:
-            if self.bound_zone is None:
-                self.count("unrouted_drops")
-                return
-            self.trunk_down[self.bound_zone].send(pkt)
-            return
-        port = self._port_for_ip(pkt.dst_ip)
-        self._core_send(pkt, port)
+        self._port_links[port].send(pkt)
 
     # -- client attachment / mobility ---------------------------------------------
 
@@ -550,6 +407,10 @@ class Network:
         """
         return self.dhcp_pools[zone_id].allocate(self.rng)
 
+    def _lease(self, zone_id: str) -> IPv4Address:
+        """The address the client takes when DHCP completes in the zone."""
+        return self.dhcp_assign(zone_id)
+
     def attach_client(self, zone_id: str) -> None:
         self.cfg.zone(zone_id)  # raises on unknown zone
         self.client.current_zone = zone_id
@@ -557,13 +418,7 @@ class Network:
         self.access_down[zone_id].set_up(True)
         self.dhcp_pending += 1
         self.client.in_dhcp = True
-        if self.mode is Mode.PMIP:
-            # Binding registration precedes address (re)confirmation.
-            bud = self.tunnel.resolved_binding_delay(self.cfg.control_delay_us)
-            self._control_bind(zone_id, bud)
-            self.sim.schedule(bud, lambda: self._start_dhcp(zone_id))
-        else:
-            self._start_dhcp(zone_id)
+        self._start_dhcp(zone_id)
 
     def _start_dhcp(self, zone_id: str) -> None:
         zone = self.cfg.zone(zone_id)
@@ -573,26 +428,12 @@ class Network:
             sent_at=self.sim.now, kind=PacketKind.DHCP_DISCOVER,
         )
         self.client.transmit(discover)
-        self.sim.schedule(zone.dhcp_latency, lambda: self._complete_dhcp(zone_id))
-
-    def _control_bind(self, zone_id: str, bud: int) -> None:
-        self.control_outstanding += 1
-
-        def run() -> None:
-            self.control_outstanding -= 1
-            self.bound_zone = zone_id
-
-        self.sim.schedule_at(self.sim.now + bud, run)
+        self.sim.schedule(zone.dhcp_latency, self._complete_dhcp, zone_id)
 
     def _complete_dhcp(self, zone_id: str) -> None:
         self.dhcp_pending -= 1
         self.client.in_dhcp = False
-        if self.mode is Mode.PMIP:
-            if self.client.home_addr is None:
-                self.client.home_addr = self.dhcp_assign(zone_id)
-            self.client.addr = self.client.home_addr
-        else:
-            self.client.addr = self.dhcp_assign(zone_id)
+        self.client.addr = self._lease(zone_id)
         solicit = Packet(
             src_ip=self.client.addr, dst_ip=ALL_ROUTERS,
             src_mac=self.client.uid, payload_len=0, seq=0,
@@ -624,34 +465,7 @@ class Network:
         self.client.conns[conn_id] = side
         return conn_id, side
 
-    # -- ticks / quiescence ----------------------------------------------------------
-
-    def _schedule_ticks(self) -> None:
-        if self.mode is Mode.SDN:
-            self.sim.schedule_at(EXPIRY_TICK_US, self._expiry_tick)
-            for zid in self.taps:
-                self.sim.schedule_at(self.cfg.keepalive_interval_us,
-                                     self._keepalive_tick, zid)
-
-    def _expiry_tick(self) -> None:
-        now = self.sim.now
-        for rule in self.switch.expire_flows(now):
-            kind = "snat" if rule.match.src_ip is not None else "dnat"
-            key = rule.match.src_ip if kind == "snat" else rule.match.dst_ip
-            self.flow_events.append((now, f"expired {kind} {key}"))
-        window = int(LIVENESS_WINDOW_FACTOR * self.cfg.keepalive_interval_us)
-        self._dispatch_actions(self.controller.evict_stale(now, window))
-        if not self.finished():
-            self.sim.schedule(EXPIRY_TICK_US, self._expiry_tick)
-
-    def _keepalive_tick(self, zone_id: str) -> None:
-        for report in self.taps[zone_id].tick(self.sim.now):
-            wire = report.serialize()
-            self._control_send(
-                lambda w=wire: self._deliver_report(HostReport.parse(w)))
-        if not self.finished():
-            self.sim.schedule(self.cfg.keepalive_interval_us,
-                              self._keepalive_tick, zone_id)
+    # -- quiescence --------------------------------------------------------------------
 
     def is_idle(self) -> bool:
         if self.echo_active or self.control_outstanding or self.dhcp_pending \
@@ -667,6 +481,10 @@ class Network:
 
     # -- trace -------------------------------------------------------------------------
 
+    def _buffer_counts(self) -> Dict[str, int]:
+        """Counters for the packets the core holds back, added at the end."""
+        return {}
+
     def finalize(self, events_fingerprint: Tuple[str, ...],
                  expected_switchover_us: Optional[int]) -> MetricsTrace:
         losses = 0
@@ -680,9 +498,8 @@ class Network:
             s.retransmissions for s in self.client.conns.values()
         ) + sum(c.side.retransmissions for c in self.server.conns.values())
         self.count("retransmissions", retransmissions)
-        if self.switch is not None:
-            self.count("buffer_residue", len(self.switch.pending))
-            self.count("buffer_drops", self.switch.buffer_drops)
+        for key, n in self._buffer_counts().items():
+            self.count(key, n)
         trace = MetricsTrace(
             mode=self.mode.value,
             seed=self.cfg.seed,
@@ -703,7 +520,190 @@ class Network:
         return trace
 
 
+class SdnNetwork(Network):
+    """SDN mode: the core translates the client's zone-local address to its
+    stable virtual address according to the flow table, which the
+    controller fills from tap-server discovery reports."""
+
+    mode = Mode.SDN
+
+    def __init__(self, cfg: TopologyConfig):
+        # The taps exist before the access links that feed them.
+        self.taps = {
+            z.zone_id: TapServer(z, update_interval=cfg.keepalive_interval_us)
+            for z in cfg.zones
+        }
+        super().__init__(cfg)
+        self._pending_mst_capture: Optional[Tuple[int, Dict[str, tuple]]] = None
+        self.controller = MobilityController(
+            cfg.vpip_pool,
+            self.rng,
+            port_for_ip=self._port_for_ip,
+            external_port=EXT_PORT,
+            idle_timeout=cfg.idle_timeout_us,
+        )
+        self.switch = SdnSwitch(
+            local_ranges=[z.dhcp_range for z in cfg.zones],
+            route_port=self._port_for_ip,
+            default_port=EXT_PORT,
+            buffer_timeout=1 * US_PER_S,
+        )
+        self.sim.schedule_at(EXPIRY_TICK_US, self._expiry_tick)
+        for zid in self.taps:
+            self.sim.schedule_at(cfg.keepalive_interval_us, self._keepalive_tick, zid)
+
+    def _access_delivers(self, zid: str) -> Tuple[Deliver, Deliver]:
+        tap, dist, client = self.taps[zid], self.dists[zid], self.client
+
+        def up(pkt: Packet, now: int) -> None:
+            self._tap_observe(tap, pkt, now)
+            dist.handle_from_access(pkt, now)
+
+        def down(pkt: Packet, now: int) -> None:
+            self._tap_observe(tap, pkt, now)
+            client.handle(pkt, now)
+        return up, down
+
+    # -- tap / control plane ----------------------------------------------------
+
+    def _tap_observe(self, tap: TapServer, pkt: Packet, now: int) -> None:
+        report = tap.observe_packet(pkt, now)
+        if report is not None:
+            self._send_report(report)
+
+    def _send_report(self, report: HostReport) -> None:
+        # The control channel carries the ASCII wire form; parsing on
+        # delivery keeps the format honest on every message.
+        self._control_send(self.cfg.control_delay_us, self._deliver_report,
+                           report.serialize())
+
+    def _deliver_report(self, wire: str) -> None:
+        report = HostReport.parse(wire)
+        capture = self._pending_mst_capture
+        actions = self.controller.handle_host_report(report, self.sim.now)
+        if capture is not None and report.uid == self.client.uid:
+            record = self.controller.mst.lookup(self.client.uid)
+            before_rip = capture[1].get(self.client.uid.text, (None,))[0]
+            if record is not None and str(record.real_ip) != before_rip:
+                self.mst_transitions.append(
+                    MstTransition(capture[0], capture[1], self.controller.mst.snapshot())
+                )
+                self._pending_mst_capture = None
+        self._dispatch_actions(actions)
+
+    def _dispatch_actions(self, actions: List[ControlAction]) -> None:
+        delay = self.cfg.control_delay_us
+        for action in actions:
+            if isinstance(action, InstallFlows):
+                self._control_send(delay, self._apply_install, action)
+            elif isinstance(action, RefreshFlows):
+                self._control_send(delay, self._apply_refresh, action)
+            elif isinstance(action, EvictClient):
+                self.flow_events.append((self.sim.now, f"evict {action.uid}"))
+
+    def _apply_install(self, action: InstallFlows) -> None:
+        now = self.sim.now
+        self.switch.install(action.snat, now)
+        self.switch.install(action.dnat, now)
+        self.flow_events.append((now, f"install snat {action.snat.match.src_ip}"))
+        self.flow_events.append((now, f"install dnat {action.dnat.match.dst_ip}"))
+        for decision in self.switch.drain(now):
+            self._core_send(decision.packet, decision.out_port)
+
+    def _apply_refresh(self, action: RefreshFlows) -> None:
+        record = self.controller.mst.lookup(action.uid)
+        if record is None:
+            return
+        now = self.sim.now
+        self.switch.table.touch(FlowMatch(src_ip=record.real_ip),
+                                self.controller.nat_priority, now)
+        self.switch.table.touch(FlowMatch(dst_ip=record.virtual_ip),
+                                self.controller.nat_priority, now)
+
+    # -- core router -------------------------------------------------------------
+
+    def _core_handle(self, pkt: Packet, now: int) -> None:
+        decision = self.switch.process_packet(pkt, now)
+        if decision.__class__ is PacketIn:
+            self._control_send(self.cfg.control_delay_us,
+                               self._controller_packet_in, pkt)
+        else:
+            self._core_send(*decision)
+
+    def _controller_packet_in(self, pkt: Packet) -> None:
+        actions = self.controller.handle_packet_in(pkt, self.sim.now)
+        self._dispatch_actions(actions)
+
+    def detach_client(self) -> None:
+        # The mobility table as it stood at detach, kept until the client's
+        # next report moves it.
+        self._pending_mst_capture = (self.sim.now, self.controller.mst.snapshot())
+        super().detach_client()
+
+    # -- ticks -----------------------------------------------------------------------
+
+    def _expiry_tick(self) -> None:
+        now = self.sim.now
+        for rule in self.switch.table.expire(now):
+            kind = "snat" if rule.match.src_ip is not None else "dnat"
+            key = rule.match.src_ip if kind == "snat" else rule.match.dst_ip
+            self.flow_events.append((now, f"expired {kind} {key}"))
+        window = int(LIVENESS_WINDOW_FACTOR * self.cfg.keepalive_interval_us)
+        self._dispatch_actions(self.controller.evict_stale(now, window))
+        if not self.finished():
+            self.sim.schedule(EXPIRY_TICK_US, self._expiry_tick)
+
+    def _keepalive_tick(self, zone_id: str) -> None:
+        for report in self.taps[zone_id].tick(self.sim.now):
+            self._send_report(report)
+        if not self.finished():
+            self.sim.schedule(self.cfg.keepalive_interval_us,
+                              self._keepalive_tick, zone_id)
+
+    def _buffer_counts(self) -> Dict[str, int]:
+        return {"buffer_residue": len(self.switch.pending),
+                "buffer_drops": self.switch.buffer_drops}
+
+
+class TunnelNetwork(Network):
+    """Tunneling baseline: the core is the mobility anchor. The client keeps
+    one home address, packets on the distribution-core segment carry
+    encapsulation overhead, and a handoff redirects the tunnel only after
+    its binding update completes."""
+
+    mode = Mode.PMIP
+
+    def __init__(self, cfg: TopologyConfig, tunnel: TunnelConfig):
+        super().__init__(cfg, trunk_overhead_bytes=tunnel.encap_overhead_bytes)
+        self.tunnel = tunnel
+        self.home_addr: Optional[IPv4Address] = None
+        self.bound_zone: Optional[str] = None
+
+    def _core_handle(self, pkt: Packet, now: int) -> None:
+        # A home address exists only once a binding does.
+        if pkt.dst_ip == self.home_addr:
+            self.trunk_down[self.bound_zone].send(pkt)
+        else:
+            self._core_send(pkt, self._port_for_ip(pkt.dst_ip))
+
+    def _start_dhcp(self, zone_id: str) -> None:
+        # Binding registration precedes address (re)confirmation.
+        bud = self.tunnel.resolved_binding_delay(self.cfg.control_delay_us)
+        self._control_send(bud, self._bind, zone_id)
+        self.sim.schedule(bud, super()._start_dhcp, zone_id)
+
+    def _bind(self, zone_id: str) -> None:
+        self.bound_zone = zone_id
+
+    def _lease(self, zone_id: str) -> IPv4Address:
+        if self.home_addr is None:
+            self.home_addr = self.dhcp_assign(zone_id)
+        return self.home_addr
+
+
 def build_topology(cfg: TopologyConfig, mode: Mode = Mode.SDN,
                    tunnel: Optional[TunnelConfig] = None) -> Network:
     """Materialize the three-tier network for one run."""
-    return Network(cfg, mode=mode, tunnel=tunnel)
+    if mode is Mode.PMIP and tunnel is None:
+        raise ConfigurationError("tunnel parameters are required in pmip mode")
+    return SdnNetwork(cfg) if mode is Mode.SDN else TunnelNetwork(cfg, tunnel)

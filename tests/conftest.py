@@ -15,12 +15,18 @@ def bundled_configs():
 
 
 @pytest.fixture(scope="session")
-def traces(bundled_configs):
-    """{(scenario, mode): MetricsTrace} for every bundled scenario."""
+def bundled_runs(bundled_configs):
+    """{(scenario, mode): (network, MetricsTrace)} for every bundled scenario."""
     out = {}
     for name, cfg in bundled_configs.items():
         net = build_topology(cfg.topology)
-        out[(name, "sdn")] = run_scenario(net, cfg.events)
+        out[(name, "sdn")] = net, run_scenario(net, cfg.events)
         net_p = build_topology(cfg.topology, Mode.PMIP, cfg.tunnel)
-        out[(name, "pmip")] = run_pmip_baseline(net_p, cfg.events, cfg.tunnel)
+        out[(name, "pmip")] = net_p, run_pmip_baseline(net_p, cfg.events, cfg.tunnel)
     return out
+
+
+@pytest.fixture(scope="session")
+def traces(bundled_runs):
+    """{(scenario, mode): MetricsTrace} for every bundled scenario."""
+    return {key: trace for key, (_, trace) in bundled_runs.items()}

@@ -158,12 +158,12 @@ class TestResetRule:
     session-breaking event the address translation scheme prevents."""
 
     def test_source_change_counts_reset(self):
-        from sdnmob.sim.topology import Network, TopologyConfig
+        from sdnmob.sim.topology import TopologyConfig, build_topology
         from sdnmob.tap_server import ZoneConfig
         from ipaddress import IPv4Network
 
         cfg = TopologyConfig(zones=(ZoneConfig("z1", IPv4Network("10.1.0.0/24")),))
-        net = Network(cfg)
+        net = build_topology(cfg)
         server = net.server
         pkt1 = Packet(
             src_ip=IPv4Address("10.1.0.5"), dst_ip=server.addr, src_mac=UID,
@@ -180,12 +180,12 @@ class TestResetRule:
         assert net.observed_sources == {"10.1.0.5", "10.2.0.9"}
 
     def test_stable_source_never_resets(self):
-        from sdnmob.sim.topology import Network, TopologyConfig
+        from sdnmob.sim.topology import TopologyConfig, build_topology
         from sdnmob.tap_server import ZoneConfig
         from ipaddress import IPv4Network
 
         cfg = TopologyConfig(zones=(ZoneConfig("z1", IPv4Network("10.1.0.0/24")),))
-        net = Network(cfg)
+        net = build_topology(cfg)
         for seq in range(20):
             pkt = Packet(
                 src_ip=IPv4Address("198.51.100.7"), dst_ip=net.server.addr,
