@@ -59,6 +59,12 @@ def host_span(network: IPv4Network) -> Tuple[int, int]:
     return int(network.network_address) + 1, size - 2
 
 
+def int_span(network: IPv4Network) -> range:
+    """Every address of ``network`` as integers: ``int(a) in int_span(net)``
+    exactly when ``a in net``, tested in C without ``ipaddress``."""
+    return range(int(network.network_address), int(network.broadcast_address) + 1)
+
+
 def nth_free(n: int, used: Iterable[int]) -> int:
     """The ``n``-th (from 0) offset not in ``used``, which must be sorted
     ascending without repeats; the walk stops at the first larger offset."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from .addressing import int_span
 from .packet import Packet, PacketKind
 
 # Priority constants: the default route/L2 rule sits at 0, NAT translations
@@ -168,6 +169,9 @@ def _sort_key(rule: FlowRule) -> Tuple[int, int]:
     return (-rule.priority, rule.install_seq)
 
 
+_NEVER = float("inf")
+
+
 _Bucket = List[FlowRule]
 
 
@@ -177,20 +181,30 @@ class FlowTable:
     Every installed rule matches on the source address, the destination
     address or both; the all-wildcard match belongs to the default rule
     alone. Rules are therefore indexed exactly: one dict keyed by source
-    address, one by destination address and one by (source, destination).
-    Each value is the short bucket of rules with that match, sorted by
-    (priority desc, install_seq asc). A lookup reads at most three bucket
-    heads and keeps the best by the same key, so equal-priority ties
-    resolve to the earliest install; when no bucket matches, the default
-    rule wins. Cost per packet does not grow with the number of rules.
+    address, one by destination address and one by (source, destination),
+    each address as its integer (taken at install, read from
+    ``Packet.src_int``/``dst_int`` at lookup). Each value is the short
+    bucket of rules with that match, sorted by (priority desc, install_seq
+    asc). A lookup reads at most three bucket heads and keeps the best by
+    the same key, so equal-priority ties resolve to the earliest install;
+    when no bucket matches, the default rule wins. Cost per packet does not
+    grow with the number of rules.
+
+    ``expire`` keeps a lower bound on the earliest idle deadline (last hit
+    plus timeout) and skips its scan while ``now`` is at or below it. The
+    bound holds because ``now`` never decreases between calls, as on the
+    simulator's clock, so hits and touches only move deadlines later.
     """
 
     def __init__(self) -> None:
-        self._by_src: Dict[IPv4Address, _Bucket] = {}
-        self._by_dst: Dict[IPv4Address, _Bucket] = {}
-        self._by_pair: Dict[Tuple[IPv4Address, IPv4Address], _Bucket] = {}
+        self._by_src: Dict[int, _Bucket] = {}
+        self._by_dst: Dict[int, _Bucket] = {}
+        self._by_pair: Dict[Tuple[int, int], _Bucket] = {}
         # Every non-default rule by install_seq, for expiry scans and listing.
         self._by_seq: Dict[int, FlowRule] = {}
+        # No rule can expire while now <= this (a lower bound on the
+        # earliest last_hit + idle_timeout).
+        self._expiry_bound: float = _NEVER
         self._next_seq = 1
         self._default: Optional[FlowRule] = None
 
@@ -213,10 +227,10 @@ class FlowTable:
     def _index_of(self, match: FlowMatch) -> Tuple[Dict, object]:
         """The dict that holds rules with ``match``, and their key in it."""
         if match.dst_ip is None:
-            return self._by_src, match.src_ip
+            return self._by_src, int(match.src_ip)
         if match.src_ip is None:
-            return self._by_dst, match.dst_ip
-        return self._by_pair, (match.src_ip, match.dst_ip)
+            return self._by_dst, int(match.dst_ip)
+        return self._by_pair, (int(match.src_ip), int(match.dst_ip))
 
     def install_default(self, out_port: str, now: int = 0) -> FlowRule:
         """Install the all-wildcard route rule at the reserved priority."""
@@ -262,6 +276,8 @@ class FlowTable:
         # rule of equal or higher priority.
         bisect.insort(bucket, installed, key=_sort_key)
         self._by_seq[installed.install_seq] = installed
+        if installed.idle_timeout is not None:
+            self._expiry_bound = min(self._expiry_bound, now + installed.idle_timeout)
         return installed
 
     def find(self, match: FlowMatch, priority: int) -> Optional[FlowRule]:
@@ -283,14 +299,14 @@ class FlowTable:
         """Highest-priority match, earliest install on ties; hits update
         the rule's idle timer."""
         best = None
-        bucket = self._by_src.get(pkt.src_ip)
+        bucket = self._by_src.get(pkt.src_int)
         if bucket:
             best = bucket[0]
-        bucket = self._by_dst.get(pkt.dst_ip)
+        bucket = self._by_dst.get(pkt.dst_int)
         if bucket:
             best = _better(best, bucket[0])
         if self._by_pair:
-            bucket = self._by_pair.get((pkt.src_ip, pkt.dst_ip))
+            bucket = self._by_pair.get((pkt.src_int, pkt.dst_int))
             if bucket:
                 best = _better(best, bucket[0])
         if best is None:
@@ -304,10 +320,18 @@ class FlowTable:
         """Drop every rule idle longer than its timeout, returned in
         (priority desc, install_seq asc) order. The default rule is exempt
         by construction (no timeout)."""
-        removed = [
-            r for r in self._by_seq.values()
-            if r.idle_timeout is not None and now - r.last_hit > r.idle_timeout
-        ]
+        if now <= self._expiry_bound:
+            return []
+        removed = []
+        bound = _NEVER
+        for r in self._by_seq.values():
+            if r.idle_timeout is not None:
+                deadline = r.last_hit + r.idle_timeout
+                if now > deadline:
+                    removed.append(r)
+                elif deadline < bound:
+                    bound = deadline
+        self._expiry_bound = bound
         for rule in removed:
             del self._by_seq[rule.install_seq]
             index, key = self._index_of(rule.match)
@@ -371,14 +395,18 @@ class SdnSwitch:
         self.table = FlowTable()
         self.table.install_default(default_port, now)
         self.local_ranges = tuple(local_ranges)
+        self._local_spans = tuple(int_span(net) for net in self.local_ranges)
         self.route_port = route_port
         self.buffer_capacity = buffer_capacity
         self.buffer_timeout = buffer_timeout
         self.pending: Deque[BufferedPacket] = deque()
         self.buffer_drops = 0
 
-    def _is_local(self, addr: IPv4Address) -> bool:
-        return any(addr in net for net in self.local_ranges)
+    def _is_local(self, addr: int) -> bool:
+        for span in self._local_spans:
+            if addr in span:
+                return True
+        return False
 
     def process_packet(self, pkt: Packet, now: int) -> ForwardDecision:
         """Classify one packet.
@@ -392,7 +420,7 @@ class SdnSwitch:
         if rule is not None and rule.priority > DEFAULT_PRIORITY:
             out, port = apply_actions(rule, pkt)
             return Forwarded(out, port)
-        if pkt.kind in ESCALATED_KINDS and self._is_local(pkt.src_ip):
+        if pkt.kind in ESCALATED_KINDS and self._is_local(pkt.src_int):
             self._buffer(pkt, now)
             return PacketIn(pkt)
         return Forwarded(pkt, self.route_port(pkt.dst_ip))

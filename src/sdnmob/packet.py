@@ -5,6 +5,13 @@ produce copies, so a packet captured anywhere in the pipeline stays valid.
 Sizes are modeled as payload bytes plus a fixed L3/L4 header; tunnel
 encapsulation overhead is a property of the link that carries the packet,
 not of the packet itself.
+
+Each packet also carries its two addresses as 32-bit integers
+(``src_int``, ``dst_int``), taken once at construction. The per-packet
+code (flow-table lookups, tap buffer and spoof check, zone range checks,
+host address compares, the core's port cache) keys and compares on those,
+because ``IPv4Address`` hashing, equality and ``IPv4Network`` membership
+are pure-Python calls.
 """
 
 from __future__ import annotations
@@ -45,8 +52,9 @@ class Packet:
     Frozen: assigning a field raises ``FrozenInstanceError``. ``__init__``
     validates and then writes the instance ``__dict__`` directly, which skips
     the per-field ``object.__setattr__`` of a generated frozen ``__init__``.
-    It also stores ``wire_bytes``, the size charged on the wire, once; it is
-    not a dataclass field, so ``==``, ``hash`` and ``repr`` ignore it.
+    It also stores ``wire_bytes``, the size charged on the wire, and the
+    integers of both addresses (``src_int``, ``dst_int``) once; they are
+    not dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them.
     """
 
     src_ip: IPv4Address
@@ -79,6 +87,10 @@ class Packet:
         d["kind"] = kind
         d["conn_id"] = conn_id
         d["ack"] = ack
+        # ``_ip`` is the integer slot of the stdlib's ``IPv4Address``; reading
+        # it skips the ``int()`` call, which costs about as much again.
+        d["src_int"] = src_ip._ip
+        d["dst_int"] = dst_ip._ip
         d["wire_bytes"] = (
             DHCP_WIRE_BYTES if kind is _DHCP_DISCOVER or kind is _DHCP_OFFER
             else payload_len + INNER_HEADER_BYTES

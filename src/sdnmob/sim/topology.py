@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..addressing import AddressPool, Uid, check_disjoint
+from ..addressing import AddressPool, Uid, check_disjoint, int_span
 from ..controller import (
     ControlAction,
     EvictClient,
@@ -131,15 +131,20 @@ class ClientHost:
         self.sim = net.sim
         self.uid = uid
         self.addr: Optional[IPv4Address] = None
+        self.addr_int = -1  # int(addr), or -1 while unaddressed
         self.current_zone: Optional[str] = None
         self.conns: Dict[int, TransportSide] = {}
         self.in_dhcp = False
+
+    def set_addr(self, addr: Optional[IPv4Address]) -> None:
+        self.addr = addr
+        self.addr_int = -1 if addr is None else int(addr)
 
     def peer_addr(self, conn_id: int) -> IPv4Address:
         return self.net.server.addr
 
     def transmit(self, pkt: Packet) -> None:
-        self.net.count("transmissions")
+        self.net.transmissions += 1
         link = self.net.access_up.get(self.current_zone)
         if link is None:
             self.net.count("link_drops")
@@ -147,14 +152,14 @@ class ClientHost:
         link.send(pkt)
 
     def handle(self, pkt: Packet, now: int) -> None:
-        if self.addr is None or pkt.dst_ip != self.addr:
+        if pkt.dst_int != self.addr_int:
             self.net.count("host_drops")
             return
         side = self.conns.get(pkt.conn_id)
         if side is None:
             self.net.count("host_drops")
             return
-        self.net.count("accepted")
+        self.net.accepted += 1
         kind = pkt.kind
         if kind is _DATA:
             self.net.note_delivery(now)
@@ -167,6 +172,7 @@ class ServerConn:
     def __init__(self, side: TransportSide, established_src: IPv4Address):
         self.side = side
         self.established_src = established_src
+        self.established_int = int(established_src)
 
 
 class ServerHost:
@@ -178,20 +184,21 @@ class ServerHost:
         self.sim = net.sim
         self.uid = uid
         self.addr = addr
+        self.addr_int = int(addr)
         self.conns: Dict[int, ServerConn] = {}
 
     def peer_addr(self, conn_id: int) -> IPv4Address:
         return self.conns[conn_id].established_src
 
     def transmit(self, pkt: Packet) -> None:
-        self.net.count("transmissions")
+        self.net.transmissions += 1
         self.net.ext_in.send(pkt)
 
     def handle(self, pkt: Packet, now: int) -> None:
-        if pkt.dst_ip != self.addr:
+        if pkt.dst_int != self.addr_int:
             self.net.count("host_drops")
             return
-        self.net.count("accepted")
+        self.net.accepted += 1
         kind = pkt.kind
         if kind is _DATA:
             self.net.note_server_data(pkt, now)
@@ -201,9 +208,10 @@ class ServerHost:
             if conn is None:
                 conn = self._establish(pkt.conn_id, pkt.src_ip)
                 self.net.observed_sources.add(str(pkt.src_ip))
-            elif conn.established_src != pkt.src_ip:
+            elif conn.established_int != pkt.src_int:
                 self.net.resets += 1
                 conn.established_src = pkt.src_ip
+                conn.established_int = pkt.src_int
                 self.net.observed_sources.add(str(pkt.src_ip))
             conn.side.receive_data(pkt)
         elif kind is _ACK:
@@ -231,9 +239,10 @@ class DistRouter:
     """Zone gateway: plain routing between its access segment and the core.
     DHCP and router-solicitation traffic terminates here."""
 
-    def __init__(self, net: "Network", zone: ZoneConfig):
+    def __init__(self, net: "Network", zone: ZoneConfig, span: range):
         self.net = net
         self.zone = zone
+        self._span = span  # the zone's range as integers
         # The zone's access-down and trunk-up links, set by Network._build_links.
         self.access_down: Link
         self.trunk_up: Link
@@ -243,7 +252,7 @@ class DistRouter:
         if kind is _DHCP_DISCOVER or kind is _ROUTER_SOLICITATION:
             self.net.count("consumed")
             return
-        if pkt.dst_ip in self.zone.dhcp_range:
+        if pkt.dst_int in self._span:
             self.access_down.send(pkt)
         else:
             self.trunk_up.send(pkt)
@@ -277,6 +286,9 @@ class Network:
         self.observed_sources: set = set()
         self.resets = 0
         self.counters: Dict[str, int] = {}
+        # The two per-packet counters, folded into ``counters`` by finalize.
+        self.transmissions = 0
+        self.accepted = 0
         self.last_delivery_us = 0
 
         # liveness accounting for quiescence detection (packets in flight
@@ -296,9 +308,12 @@ class Network:
 
         self.server = ServerHost(self, SERVER_UID, SERVER_ADDR)
         self.client = ClientHost(self, CLIENT_UID)
-        self.dists = {z.zone_id: DistRouter(self, z) for z in cfg.zones}
-
-        self._port_cache: Dict[IPv4Address, str] = {}
+        spans = [int_span(z.dhcp_range) for z in cfg.zones]
+        self.dists = {z.zone_id: DistRouter(self, z, span)
+                      for z, span in zip(cfg.zones, spans)}
+        self._zone_ports = [(span, f"zone:{z.zone_id}")
+                            for z, span in zip(cfg.zones, spans)]
+        self._port_cache: Dict[int, str] = {}
         self._build_links(trunk_overhead_bytes)
 
     # -- wiring --------------------------------------------------------------
@@ -346,14 +361,18 @@ class Network:
         return self.dists[zid].handle_from_access, self.client.handle
 
     def _port_for_ip(self, addr: IPv4Address) -> str:
-        """The core port that reaches ``addr``: its zone's, else external.
-        Zones never change during a run, so each answer is cached."""
+        """The core port that reaches ``addr``: its zone's, else external."""
+        return self._port_for_int(int(addr))
+
+    def _port_for_int(self, addr: int) -> str:
+        """``_port_for_ip`` of an address given as its integer. Zones never
+        change during a run, so each answer is cached."""
         port = self._port_cache.get(addr)
         if port is None:
             port = EXT_PORT
-            for z in self.cfg.zones:
-                if addr in z.dhcp_range:
-                    port = f"zone:{z.zone_id}"
+            for span, zone_port in self._zone_ports:
+                if addr in span:
+                    port = zone_port
                     break
             self._port_cache[addr] = port
         return port
@@ -366,15 +385,16 @@ class Network:
     def _on_drop(self, pkt: Packet, reason: str) -> None:
         self.count("link_drops")
 
+    # Simulated time never decreases, so the latest delivery is the last one.
     def note_goodput(self, now: int, payload_len: int) -> None:
         self.deliveries.append((now, payload_len * 8))
-        self.last_delivery_us = max(self.last_delivery_us, now)
+        self.last_delivery_us = now
 
     def note_delivery(self, now: int) -> None:
-        self.last_delivery_us = max(self.last_delivery_us, now)
+        self.last_delivery_us = now
 
     def note_server_data(self, pkt: Packet, now: int) -> None:
-        self.last_delivery_us = max(self.last_delivery_us, now)
+        self.last_delivery_us = now
         if self.handoffs:
             h = self.handoffs[-1]
             if h.first_delivery_us is None and pkt.sent_at > h.detach_us:
@@ -393,9 +413,6 @@ class Network:
 
     def _core_handle(self, pkt: Packet, now: int) -> None:
         raise NotImplementedError
-
-    def _core_send(self, pkt: Packet, port: str) -> None:
-        self._port_links[port].send(pkt)
 
     # -- client attachment / mobility ---------------------------------------------
 
@@ -433,7 +450,7 @@ class Network:
     def _complete_dhcp(self, zone_id: str) -> None:
         self.dhcp_pending -= 1
         self.client.in_dhcp = False
-        self.client.addr = self._lease(zone_id)
+        self.client.set_addr(self._lease(zone_id))
         solicit = Packet(
             src_ip=self.client.addr, dst_ip=ALL_ROUTERS,
             src_mac=self.client.uid, payload_len=0, seq=0,
@@ -448,7 +465,7 @@ class Network:
         if zone_id is not None:
             self.access_up[zone_id].set_up(False)
             self.access_down[zone_id].set_up(False)
-        self.client.addr = None
+        self.client.set_addr(None)
         self.client.current_zone = None
 
     # -- traffic -------------------------------------------------------------------
@@ -498,6 +515,10 @@ class Network:
             s.retransmissions for s in self.client.conns.values()
         ) + sum(c.side.retransmissions for c in self.server.conns.values())
         self.count("retransmissions", retransmissions)
+        for key, n in (("transmissions", self.transmissions),
+                       ("accepted", self.accepted)):
+            if n:
+                self.count(key, n)
         for key, n in self._buffer_counts().items():
             self.count(key, n)
         trace = MetricsTrace(
@@ -553,16 +574,14 @@ class SdnNetwork(Network):
             self.sim.schedule_at(cfg.keepalive_interval_us, self._keepalive_tick, zid)
 
     def _access_delivers(self, zid: str) -> Tuple[Deliver, Deliver]:
-        tap, dist, client = self.taps[zid], self.dists[zid], self.client
+        # The tap watches the uplink only: what goes down to the client comes
+        # from outside the zone and could only count as a spoof.
+        tap, dist = self.taps[zid], self.dists[zid]
 
         def up(pkt: Packet, now: int) -> None:
             self._tap_observe(tap, pkt, now)
             dist.handle_from_access(pkt, now)
-
-        def down(pkt: Packet, now: int) -> None:
-            self._tap_observe(tap, pkt, now)
-            client.handle(pkt, now)
-        return up, down
+        return up, self.client.handle
 
     # -- tap / control plane ----------------------------------------------------
 
@@ -608,7 +627,7 @@ class SdnNetwork(Network):
         self.flow_events.append((now, f"install snat {action.snat.match.src_ip}"))
         self.flow_events.append((now, f"install dnat {action.dnat.match.dst_ip}"))
         for decision in self.switch.drain(now):
-            self._core_send(decision.packet, decision.out_port)
+            self._port_links[decision.out_port].send(decision.packet)
 
     def _apply_refresh(self, action: RefreshFlows) -> None:
         record = self.controller.mst.lookup(action.uid)
@@ -628,7 +647,8 @@ class SdnNetwork(Network):
             self._control_send(self.cfg.control_delay_us,
                                self._controller_packet_in, pkt)
         else:
-            self._core_send(*decision)
+            # A Forwarded decision is a (packet, out_port) tuple.
+            self._port_links[decision[1]].send(decision[0])
 
     def _controller_packet_in(self, pkt: Packet) -> None:
         actions = self.controller.handle_packet_in(pkt, self.sim.now)
@@ -677,14 +697,16 @@ class TunnelNetwork(Network):
         super().__init__(cfg, trunk_overhead_bytes=tunnel.encap_overhead_bytes)
         self.tunnel = tunnel
         self.home_addr: Optional[IPv4Address] = None
+        self._home_int = -1  # int(home_addr), or -1 before the first lease
         self.bound_zone: Optional[str] = None
 
     def _core_handle(self, pkt: Packet, now: int) -> None:
         # A home address exists only once a binding does.
-        if pkt.dst_ip == self.home_addr:
+        dst = pkt.dst_int
+        if dst == self._home_int:
             self.trunk_down[self.bound_zone].send(pkt)
         else:
-            self._core_send(pkt, self._port_for_ip(pkt.dst_ip))
+            self._port_links[self._port_for_int(dst)].send(pkt)
 
     def _start_dhcp(self, zone_id: str) -> None:
         # Binding registration precedes address (re)confirmation.
@@ -698,6 +720,7 @@ class TunnelNetwork(Network):
     def _lease(self, zone_id: str) -> IPv4Address:
         if self.home_addr is None:
             self.home_addr = self.dhcp_assign(zone_id)
+            self._home_int = int(self.home_addr)
         return self.home_addr
 
 

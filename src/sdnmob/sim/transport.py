@@ -10,6 +10,16 @@ the failure mode the address translation scheme exists to prevent.
 Senders pause while their host has no usable address (mid-handoff) and
 retransmit everything outstanding the moment a fresh address lands, which
 repairs any loss from the outage in one burst.
+
+The retransmission timer is a ``deadline`` plus at most one live wake-up
+event. Arming the timer (on every ACK that covers new data) only moves the
+deadline; a wake-up is scheduled only when none is pending or the new
+deadline comes before the pending one. A wake-up that finds the deadline
+moved later reschedules itself there, and one that finds the timer
+disarmed does nothing, so a timeout still fires at exactly the last arm
+plus the RTO while a steady ACK stream costs about one event per RTO
+instead of one per ACK (lazy re-arming, as in Varghese and Lauck's timing
+wheels).
 """
 
 from __future__ import annotations
@@ -65,8 +75,10 @@ class TransportSide:
         self.pending: Deque[int] = deque()
         self.unacked: "OrderedDict[int, SegMeta]" = OrderedDict()
         self.srtt: Optional[float] = None
-        self._timer_epoch = 0
-        self._timer_armed = False
+        # Retransmission timer: the instant it expires (None: disarmed) and
+        # the instant of the live pending wake-up (None: none pending).
+        self.deadline: Optional[int] = None
+        self._wakeup_at: Optional[int] = None
         self.submitted = 0
         self.transmissions = 0
         self.retransmissions = 0
@@ -96,16 +108,14 @@ class TransportSide:
         return self.host.addr is not None
 
     def pump(self) -> None:
-        while (
-            len(self.unacked) < self.window
-            and self.pending
-            and self.can_send()
-        ):
-            payload_len = self.pending.popleft()
+        host = self.host
+        unacked, pending = self.unacked, self.pending
+        while len(unacked) < self.window and pending and host.addr is not None:
+            payload_len = pending.popleft()
             seq = self.next_seq
             self.next_seq += 1
             self._transmit_segment(seq, payload_len, retransmit=False)
-        if self.unacked and not self._timer_armed and self.can_send():
+        if unacked and self.deadline is None and host.addr is not None:
             self._arm_timer()
 
     def _transmit_segment(self, seq: int, payload_len: int, retransmit: bool) -> None:
@@ -129,18 +139,28 @@ class TransportSide:
         return max(int(RTO_FACTOR * self.srtt), MIN_RTO_US)
 
     def _arm_timer(self) -> None:
-        self._timer_epoch += 1
-        self._timer_armed = True
-        self.host.sim.schedule(self._rto(), self._on_timeout, self._timer_epoch)
+        """Set the deadline to now + RTO. A new wake-up is scheduled only if
+        none is pending or the pending one comes after the deadline."""
+        sim = self.host.sim
+        deadline = self.deadline = sim.now + self._rto()
+        wakeup = self._wakeup_at
+        if wakeup is None or deadline < wakeup:
+            self._wakeup_at = deadline
+            sim.schedule_at(deadline, self._on_wakeup)
 
-    def _disarm_timer(self) -> None:
-        self._timer_epoch += 1
-        self._timer_armed = False
-
-    def _on_timeout(self, epoch: int) -> None:
-        if epoch != self._timer_epoch:
+    def _on_wakeup(self) -> None:
+        now = self.host.sim.now
+        if now != self._wakeup_at:
+            return  # superseded by an earlier wake-up
+        deadline = self.deadline
+        if deadline is None:
+            self._wakeup_at = None
             return
-        self._timer_armed = False
+        if deadline > now:
+            self._wakeup_at = deadline
+            self.host.sim.schedule_at(deadline, self._on_wakeup)
+            return
+        self._wakeup_at = self.deadline = None
         if not self.unacked:
             return
         if not self.can_send():
@@ -163,9 +183,10 @@ class TransportSide:
         if meta is not None:
             if not meta.retransmitted:
                 self._sample_rtt(meta)
-            self._disarm_timer()
-            if self.unacked:
+            if unacked:
                 self._arm_timer()
+            else:
+                self.deadline = None
         self.pump()
 
     def _sample_rtt(self, meta: SegMeta) -> None:
@@ -186,7 +207,6 @@ class TransportSide:
             self._transmit_segment(seq, self.unacked[seq].payload_len, retransmit=True)
         self.pump()
         if self.unacked:
-            self._disarm_timer()
             self._arm_timer()
 
     def drained(self) -> bool:

@@ -1,10 +1,16 @@
 """Per-zone passive host discovery.
 
-A tap server sees a copy of every packet crossing the access/distribution
-boundary of its zone. It validates source addresses against the zone's DHCP
-range (spoof guard), learns (uid, real IP) bindings into a time buffer, and
-periodically re-reports live clients to the controller so their state and
-flows stay fresh. Observation is side-effect-free on the data plane.
+A tap server sees a copy of every packet its zone's clients send up
+across the access/distribution boundary. It validates source addresses
+against the zone's DHCP range (spoof guard), learns (uid, real IP) bindings
+into a time buffer, and periodically re-reports live clients to the
+controller so their state and flows stay fresh. Observation is
+side-effect-free on the data plane.
+
+Only the uplink is tapped: a packet going down to a client comes from
+outside the zone, so its source never passes the spoof guard and observing
+it could only count a false spoof. The buffer is keyed by the integer of
+the real IP (``Packet.src_int``) and the range check compares integers.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Dict, List, Optional
 
-from .addressing import Uid
+from .addressing import Uid, int_span
 from .controller import HostReport
 from .packet import Packet, PacketKind
 from .units import US_PER_MS, US_PER_S
 
 UNSPECIFIED = IPv4Address("0.0.0.0")
+_UNSPECIFIED_INT = int(UNSPECIFIED)
 
 # Re-reporting cadence; five simulated minutes unless the scenario overrides.
 DEFAULT_UPDATE_INTERVAL_US = 300 * US_PER_S
@@ -67,8 +74,10 @@ class TapServer:
         self.zone = zone
         # Read once here, not on every tapped packet.
         self._discovery_only = zone.tap_filter is TapFilter.DHCP_AND_RS_ONLY
+        self._span = int_span(zone.dhcp_range)
         self.update_interval = update_interval
-        self.buffer: Dict[IPv4Address, TimeBufferEntry] = {}
+        # int(real IP) -> entry
+        self.buffer: Dict[int, TimeBufferEntry] = {}
         self.last_emit: int = 0
         self.rejected_spoofed = 0
         self.ignored_unaddressed = 0
@@ -82,7 +91,7 @@ class TapServer:
         """
         if self._discovery_only and pkt.kind not in _DISCOVERY_KINDS:
             return None
-        src = pkt.src_ip
+        src = pkt.src_int
         now_ms = now // US_PER_MS
         # Only addressed in-range sources enter the buffer, so a buffered
         # source needs neither check below.
@@ -91,15 +100,15 @@ class TapServer:
             if now_ms > entry.last_seen_ms:
                 entry.last_seen_ms = now_ms
             return None
-        if src == UNSPECIFIED:
+        if src == _UNSPECIFIED_INT:
             self.ignored_unaddressed += 1
             return None
-        if src not in self.zone.dhcp_range:
+        if src not in self._span:
             self.rejected_spoofed += 1
             return None
         # New address, or the address changed hands (DHCP reuse): report.
-        self.buffer[src] = TimeBufferEntry(src, pkt.src_mac, now_ms)
-        return HostReport(pkt.src_mac, src)
+        self.buffer[src] = TimeBufferEntry(pkt.src_ip, pkt.src_mac, now_ms)
+        return HostReport(pkt.src_mac, pkt.src_ip)
 
     def tick(self, now: int) -> List[HostReport]:
         """Keepalive pass: at each interval boundary, re-report every live

@@ -253,6 +253,36 @@ class TestExpiry:
         for t in (101, 200, 10_000):
             assert table.match_packet(data_packet(src="10.1.0.5"), now=t) is None
 
+    def test_no_scan_before_the_earliest_deadline(self):
+        """Up to the earliest last_hit + timeout nothing can expire, so
+        ``expire`` reads no rule; past it, the scan runs again."""
+
+        class Unreadable(dict):
+            def values(self):
+                raise AssertionError("expire scanned the rules")
+
+        table = FlowTable()
+        snat, dnat = nat_pair(timeout=30)
+        table.install(snat, now=0)
+        table.install(dnat, now=10)
+        rules = table._by_seq
+        table._by_seq = Unreadable(rules)
+        for t in (0, 15, 30):
+            assert table.expire(now=t) == []
+        table._by_seq = rules
+        assert [r.match for r in table.expire(now=31)] == [snat.match]
+        table._by_seq = Unreadable(rules)
+        assert table.expire(now=40) == []  # the dnat rule's deadline
+
+    def test_install_lowers_the_bound(self):
+        table = FlowTable()
+        snat, dnat = nat_pair(timeout=1000)
+        table.install(snat, now=0)
+        assert table.expire(now=500) == []
+        short = dataclasses.replace(dnat, idle_timeout=10)
+        installed = table.install(short, now=500)
+        assert table.expire(now=511) == [installed]
+
 
 @st.composite
 def lifecycle_ops(draw):
@@ -294,6 +324,21 @@ def _rule_for(kind, i, prio, timeout):
         return dnat_rule(VPIPS[i], HOSTS[i], f"zone:z{i}", timeout, prio)
     return FlowRule(FlowMatch(src_ip=HOSTS[i], dst_ip=REMOTE), (forward(f"p{i}"),),
                     prio, timeout)
+
+
+@st.composite
+def mixed_timeout_ops(draw):
+    """Like ``differential_ops``, with each install drawing its own idle
+    timeout (or none) and expiry sweeps twice as likely."""
+    ops = []
+    t = 0
+    for _ in range(draw(st.integers(1, 40))):
+        t += draw(st.integers(0, 40))
+        kind = draw(st.sampled_from(
+            ["snat", "dnat", "pair", "src_hit", "dst_hit", "touch", "expire", "expire"]))
+        ops.append((kind, t, draw(st.integers(0, 3)), draw(st.sampled_from([100, 200])),
+                    draw(st.sampled_from([None, 1, 10, 50, 200]))))
+    return ops
 
 
 def _signature(rule):
@@ -362,6 +407,31 @@ class TestLifecycleModel:
                 assert table.install_default("route", now=t) == ref.install_default(
                     "route", now=t)
             assert len(table) == len(ref)
+            assert table.rules == ref.rules
+
+    @given(mixed_timeout_ops())
+    @settings(max_examples=300, deadline=None)
+    def test_expiry_bound_agrees_with_linear_reference(self, ops):
+        """With rules of different idle timeouts, the indexed table's
+        skipped and full expiry sweeps remove exactly what the reference's
+        full scans remove."""
+        table, ref = FlowTable(), LinearFlowTable()
+        for t in (table, ref):
+            t.install_default("route")
+        for kind, t, i, prio, timeout in ops:
+            if kind in ("snat", "dnat", "pair"):
+                rule = _rule_for(kind, i, prio, timeout)
+                assert table.install(rule, now=t) == ref.install(rule, now=t)
+            elif kind in ("src_hit", "dst_hit"):
+                src, dst = (HOSTS[i], REMOTE) if kind == "src_hit" else (REMOTE, VPIPS[i])
+                pkt = data_packet(src=str(src), dst=str(dst), now=t)
+                assert _signature(table.match_packet(pkt, now=t)) == _signature(
+                    ref.match_packet(pkt, now=t))
+            elif kind == "touch":
+                match = _rule_for("snat" if i % 2 else "dnat", i, prio, timeout).match
+                assert table.touch(match, prio, now=t) == ref.touch(match, prio, now=t)
+            else:
+                assert table.expire(now=t) == ref.expire(now=t)
             assert table.rules == ref.rules
 
 

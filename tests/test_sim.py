@@ -129,7 +129,7 @@ class TestMoveAndDhcp:
         assert trace.losses == 0
         # tap buffers prove the new source range was used after the move
         z2_entries = list(net.taps["z2"].buffer)
-        assert z2_entries and all(ip in IPv4Network("10.2.0.0/24")
+        assert z2_entries and all(IPv4Address(ip) in IPv4Network("10.2.0.0/24")
                                   for ip in z2_entries)
 
     def test_dhcp_single_free_address_forced(self):

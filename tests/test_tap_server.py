@@ -2,6 +2,7 @@
 
 from ipaddress import IPv4Address, IPv4Network
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnmob.addressing import Uid
@@ -37,7 +38,7 @@ class TestObserve:
         report = tap.observe_packet(tapped("10.1.0.5"), now=usec(1))
         assert report == HostReport(UID1, IPv4Address("10.1.0.5"))
         assert report.serialize() == "aa:bb:cc:00:00:01#10.1.0.5\n"
-        entry = tap.buffer[IPv4Address("10.1.0.5")]
+        entry = tap.buffer[int(IPv4Address("10.1.0.5"))]
         assert entry.last_seen_ms == 1000
 
     def test_out_of_range_source_rejected(self):
@@ -50,7 +51,7 @@ class TestObserve:
         tap = TapServer(ZONE)
         tap.observe_packet(tapped("10.1.0.5"), now=usec(1))
         assert tap.observe_packet(tapped("10.1.0.5"), now=usec(2)) is None
-        assert tap.buffer[IPv4Address("10.1.0.5")].last_seen_ms == 2000
+        assert tap.buffer[int(IPv4Address("10.1.0.5"))].last_seen_ms == 2000
 
     def test_address_reuse_reported_immediately(self):
         tap = TapServer(ZONE)
@@ -139,3 +140,19 @@ class TestSpoofGuardProperty:
         reports = tap.tick(now=interval)
         assert {r.real_ip: r.uid for r in reports} == live
         assert len(reports) == len(live)
+
+
+class TestBundledTaps:
+    """In the network a tap sees only its zone's uplink, so legitimate
+    traffic never counts as spoofed."""
+
+    @pytest.mark.parametrize("scenario", ["handoff_basic", "handoff_bulk", "ping_pong"])
+    def test_no_spoof_counted_in_bundled_sdn_runs(self, scenario, bundled_runs):
+        net, trace = bundled_runs[(scenario, "sdn")]
+        assert trace.losses == 0
+        for zone_id, tap in net.taps.items():
+            # Each zone was visited: its tap saw the client's DHCP discover
+            # and learned a binding.
+            assert tap.ignored_unaddressed > 0, zone_id
+            assert tap.buffer, zone_id
+            assert tap.rejected_spoofed == 0, zone_id

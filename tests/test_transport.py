@@ -115,6 +115,71 @@ class TestSender:
         assert samples == [(sent_at, 5_000)]
 
 
+class TestTimer:
+    """One pending wake-up per sender; a timeout fires at exactly the last
+    arm plus the RTO."""
+
+    def retransmit_times(self, host):
+        seen, times = set(), []
+        for p in host.sent:
+            if p.seq in seen:
+                times.append(p.sent_at)
+            seen.add(p.seq)
+        return times
+
+    def test_steady_ack_stream_schedules_few_wakeups(self):
+        sim, host, side = make_side()
+        assert side.window == 32
+        acks = 512
+        side.submit_many(100, acks)
+        for k in range(1, acks + 1):  # one ACK a millisecond, one segment each
+            sim.schedule_at(k * 1_000, side.receive_ack, ack_for(side, k))
+        sim.run()
+        wakeups = sim._seq - acks
+        assert side.retransmissions == 0
+        assert len(host.sent) == acks and side.drained()
+        # The RTO stays above 4 ms, so about one wake-up per RTO plus the
+        # one left from the initial 1 s timer; the old re-arm scheduled one
+        # per ACK.
+        assert wakeups <= 20
+        assert sim.pending() == 0
+
+    def test_timeout_at_last_arm_plus_rto(self):
+        sim, host, side = make_side()
+        side.submit_many(100, 3)  # armed at 0 for the initial RTO (1 s)
+        sim.schedule_at(300_000, side.receive_ack, ack_for(side, 1))
+        sim.run(until=300_000)
+        rto = side._rto()
+        assert rto == 1_200_000  # four times the one 300 ms sample
+        sim.run(until=300_000 + rto - 1)
+        assert side.retransmissions == 0  # the 1 s wake-up only moved on
+        sim.run(until=300_000 + rto)
+        assert self.retransmit_times(host) == [300_000 + rto]
+        assert host.sent[-1].seq == 1
+
+    def test_smaller_rto_fires_before_the_pending_wakeup(self):
+        sim, host, side = make_side()
+        side.submit_many(100, 3)  # pending wake-up at 1 s
+        sim.schedule_at(10_000, side.receive_ack, ack_for(side, 1))
+        sim.run(until=1_200_000)
+        # srtt 10 ms, so RTO 40 ms: the first timeout at 10 + 40 ms, then
+        # every 40 ms. The superseded 1 s wake-up adds no retransmission.
+        times = self.retransmit_times(host)
+        assert times == list(range(50_000, 1_200_001, 40_000))
+        assert 1_000_000 not in times
+
+    def test_disarmed_timer_never_retransmits(self):
+        sim, host, side = make_side()
+        side.submit_many(100, 2)
+        sim.schedule_at(1_000, side.receive_ack, ack_for(side, 2))
+        sim.run()
+        assert side.deadline is None
+        assert side.retransmissions == 0
+        assert len(host.sent) == 2
+        assert sim.pending() == 0  # the stale wake-up ran and did nothing
+        assert sim.now == INITIAL_RTO_US
+
+
 class TestReceiver:
     def test_in_order_delivery_and_ack(self):
         delivered = []
