@@ -1,20 +1,75 @@
 """Run metrics: RTT series, goodput, handoff delays, losses and resets.
 
+Every per-packet sample (an RTT per ACK, a goodput record per delivered
+segment) is a ``(time_us, value)`` pair of integers held in a ``Series``:
+two ``array('q')`` columns, 16 bytes a sample instead of a tuple of two
+boxed ints. Samples are appended at the simulator clock, which never
+decreases, so each ``times`` column is sorted and windows over it are
+binary searches.
+
 The CSV artifact is the stable machine-readable contract:
 ``series,time_s,value,unit`` with six-decimal simulated seconds. Throughput
 is application goodput delivered at the server, in 100 ms tumbling windows.
+``write_csv`` streams its rows to the file as they are formatted.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..units import US_PER_S
 
 WINDOW_US = 100_000  # tumbling throughput window
 
 CSV_HEADER = "series,time_s,value,unit"
+
+
+class Series:
+    """Append-only ``(time_us, value)`` integer samples in two int64 columns.
+
+    Iterates, indexes and compares as the sequence of its pairs. Times must
+    be appended in non-decreasing order for ``sum_between``.
+    """
+
+    __slots__ = ("times", "values")
+
+    def __init__(self, pairs: Iterable[Tuple[int, int]] = ()) -> None:
+        self.times = array("q")
+        self.values = array("q")
+        for t, v in pairs:
+            self.append(t, v)
+
+    def append(self, t: int, v: int) -> None:
+        self.times.append(t)
+        self.values.append(v)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        return zip(self.times, self.values)
+
+    def __getitem__(self, i: int) -> Tuple[int, int]:
+        return self.times[i], self.values[i]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self.times == other.times and self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"Series({list(self)!r})"
+
+    def sum_between(self, start_us: int, end_us: int) -> int:
+        """Sum of the values whose time lies in ``[start_us, end_us)``."""
+        times = self.times
+        lo = bisect_left(times, start_us)
+        hi = bisect_left(times, end_us, lo)
+        return sum(self.values[lo:hi])
 
 
 class ComparisonError(ValueError):
@@ -45,9 +100,9 @@ class MetricsTrace:
     mode: str
     seed: int
     events_fingerprint: Tuple[str, ...]
-    rtt_client: List[Tuple[int, int]] = field(default_factory=list)
-    rtt_server: List[Tuple[int, int]] = field(default_factory=list)
-    deliveries: List[Tuple[int, int]] = field(default_factory=list)  # (t_us, bits)
+    rtt_client: Series = field(default_factory=Series)  # (sent_at_us, rtt_us)
+    rtt_server: Series = field(default_factory=Series)
+    deliveries: Series = field(default_factory=Series)  # (t_us, bits)
     handoffs: List[HandoffRecord] = field(default_factory=list)
     expected_switchover_us: Optional[int] = None
     losses: int = 0
@@ -62,21 +117,19 @@ class MetricsTrace:
 
     def throughput_samples(self) -> List[Tuple[int, float]]:
         """Goodput per tumbling window from t=0 through the last delivery."""
-        if not self.deliveries:
+        deliveries = self.deliveries
+        if not deliveries:
             return []
-        last = self.deliveries[-1][0]
-        n_windows = last // WINDOW_US + 1
-        bits = [0] * n_windows
-        for t, b in self.deliveries:
-            bits[t // WINDOW_US] += b
+        n_windows = deliveries.times[-1] // WINDOW_US + 1
         scale = US_PER_S / WINDOW_US
-        return [(i * WINDOW_US, bits[i] * scale) for i in range(n_windows)]
+        return [(t, deliveries.sum_between(t, t + WINDOW_US) * scale)
+                for t in range(0, n_windows * WINDOW_US, WINDOW_US)]
 
     def goodput_between(self, start_us: int, end_us: int) -> float:
         """Exact goodput (bits/s) over [start_us, end_us)."""
         if end_us <= start_us:
             return 0.0
-        total = sum(b for t, b in self.deliveries if start_us <= t < end_us)
+        total = self.deliveries.sum_between(start_us, end_us)
         return total * US_PER_S / (end_us - start_us)
 
     def steady_state_goodput(self) -> float:
@@ -99,32 +152,60 @@ class MetricsTrace:
         samples = self.rtt_client if side == "client" else self.rtt_server
         if not samples:
             return None
-        return sum(r for _, r in samples) / len(samples) / US_PER_S
+        return sum(samples.values) / len(samples) / US_PER_S
 
     # -- CSV ----------------------------------------------------------------
 
-    def csv_rows(self) -> List[str]:
-        rows = [CSV_HEADER]
-        for t, r in self.rtt_client:
-            rows.append(_row("rtt_client", t, r / US_PER_S, "s"))
-        for t, r in self.rtt_server:
-            rows.append(_row("rtt_server", t, r / US_PER_S, "s"))
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV rows, header first, formatted one at a time."""
+        yield CSV_HEADER
+        yield from _us_rows("rtt_client", self.rtt_client)
+        yield from _us_rows("rtt_server", self.rtt_server)
         for t, bps in self.throughput_samples():
-            rows.append(_row("throughput", t, bps, "bps"))
+            yield f"throughput,{_seconds(t)},{bps:.6f},bps"
         for h in self.handoffs:
-            if h.switchover_delay_us is not None:
-                rows.append(_row("switchover_delay", h.detach_us,
-                                 h.switchover_delay_us / US_PER_S, "s"))
-        return rows
+            delay = h.switchover_delay_us
+            if delay is not None:
+                yield f"switchover_delay,{_seconds(h.detach_us)},{_seconds(delay)},s"
+
+    def csv_rows(self) -> List[str]:
+        return list(self.csv_lines())
 
 
-def _row(series: str, t_us: int, value: float, unit: str) -> str:
-    return f"{series},{t_us / US_PER_S:.6f},{value:.6f},{unit}"
+# Microseconds (n >= 0) print as seconds with six decimals from integer
+# arithmetic alone. That equals ``f"{n / US_PER_S:.6f}"`` while the quotient
+# is exact to the microsecond in a double (n < ~4.5e15).
+_SECONDS = "%d.%06d"
+
+
+def _seconds(n_us: int) -> str:
+    return _SECONDS % divmod(n_us, US_PER_S)
+
+
+def _us_rows(series: str, samples: Series) -> Iterator[str]:
+    """One row per sample, time and value both microseconds.
+
+    ``_seconds`` is inlined here: these are nearly all of a run's rows, and
+    two calls per row would make them about a quarter slower to format.
+    """
+    fmt = f"{series},{_SECONDS},{_SECONDS},s"
+    for t, v in samples:
+        yield fmt % (t // US_PER_S, t % US_PER_S, v // US_PER_S, v % US_PER_S)
+
+
+# Rows joined per write: enough to amortize the file write (one write per
+# row is about 15% slower), few enough to hold only ~40 KB at a time.
+CSV_CHUNK_ROWS = 1024
 
 
 def write_csv(trace: MetricsTrace, path: str) -> None:
+    """Stream the trace's CSV to ``path``, ``CSV_CHUNK_ROWS`` rows per write,
+    so neither the whole row list nor its joined text is ever held."""
+    rows = trace.csv_lines()
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(trace.csv_rows()) + "\n")
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            chunk.append("")  # the newline after the chunk's last row
+            fh.write("\n".join(chunk))
 
 
 # -- comparison --------------------------------------------------------------
@@ -178,10 +259,10 @@ def trace_summary_lines(trace: MetricsTrace, prefix: str) -> List[str]:
               if h.switchover_delay_us is not None]
     if delays:
         lines.append(f"{prefix}.switchover_delay_s: "
-                     + " ".join(f"{d / US_PER_S:.6f}" for d in delays))
+                     + " ".join(_seconds(d) for d in delays))
     if trace.expected_switchover_us is not None:
         lines.append(
-            f"{prefix}.expected_switchover_s: {trace.expected_switchover_us / US_PER_S:.6f}"
+            f"{prefix}.expected_switchover_s: {_seconds(trace.expected_switchover_us)}"
         )
     for side in ("client", "server"):
         mean = trace.mean_rtt_s(side)

@@ -41,7 +41,7 @@ from ..tap_server import (
 from ..units import US_PER_S
 from .events import Simulator
 from .links import Link
-from .metrics import HandoffRecord, MetricsTrace, MstTransition
+from .metrics import HandoffRecord, MetricsTrace, MstTransition, Series
 from .transport import TransportSide
 
 EXT_PORT = "ext"
@@ -227,7 +227,7 @@ class ServerHost:
 
         side = TransportSide(
             self, conn_id, role="server",
-            on_rtt_sample=lambda t, r: self.net.rtt_server.append((t, r)),
+            rtt_log=self.net.rtt_server,
             on_deliver=on_deliver,
         )
         conn = ServerConn(side, src)
@@ -277,9 +277,9 @@ class Network:
         self.rng = random.Random(cfg.seed)
 
         # metric state
-        self.rtt_client: List[Tuple[int, int]] = []
-        self.rtt_server: List[Tuple[int, int]] = []
-        self.deliveries: List[Tuple[int, int]] = []
+        self.rtt_client = Series()
+        self.rtt_server = Series()
+        self.deliveries = Series()
         self.handoffs: List[HandoffRecord] = []
         self.mst_transitions: List[MstTransition] = []
         self.flow_events: List[Tuple[int, str]] = []
@@ -386,8 +386,11 @@ class Network:
         self.count("link_drops")
 
     # Simulated time never decreases, so the latest delivery is the last one.
+    # The columns are appended directly: no Series.append frame per segment.
     def note_goodput(self, now: int, payload_len: int) -> None:
-        self.deliveries.append((now, payload_len * 8))
+        deliveries = self.deliveries
+        deliveries.times.append(now)
+        deliveries.values.append(payload_len * 8)
         self.last_delivery_us = now
 
     def note_delivery(self, now: int) -> None:
@@ -477,7 +480,7 @@ class Network:
             self.echo_conn_ids.add(conn_id)
         side = TransportSide(
             self.client, conn_id, role="client",
-            on_rtt_sample=lambda t, r: self.rtt_client.append((t, r)),
+            rtt_log=self.rtt_client,
         )
         self.client.conns[conn_id] = side
         return conn_id, side

@@ -11,6 +11,10 @@ Senders pause while their host has no usable address (mid-handoff) and
 retransmit everything outstanding the moment a fresh address lands, which
 repairs any loss from the outage in one burst.
 
+Each side appends its RTT samples, as ``(sent_at_us, rtt_us)``, to the
+``rtt_log`` series it is given (``metrics.Series``); the network hands the
+client sides and the server sides one shared log each.
+
 The retransmission timer is a ``deadline`` plus at most one live wake-up
 event. Arming the timer (on every ACK that covers new data) only moves the
 deadline; a wake-up is scheduled only when none is pending or the new
@@ -30,6 +34,7 @@ from typing import Callable, Deque, Optional
 
 from ..packet import Packet, PacketKind
 from ..units import US_PER_S
+from .metrics import Series
 
 SEND_WINDOW_SEGMENTS = 32
 INITIAL_RTO_US = 1 * US_PER_S
@@ -60,14 +65,14 @@ class TransportSide:
         host,
         conn_id: int,
         role: str,
-        on_rtt_sample: Optional[Callable[[int, int], None]] = None,
+        rtt_log: Optional[Series] = None,
         on_deliver: Optional[Callable[[int, int], None]] = None,
         window: int = SEND_WINDOW_SEGMENTS,
     ) -> None:
         self.host = host
         self.conn_id = conn_id
         self.role = role
-        self.on_rtt_sample = on_rtt_sample
+        self.rtt_log = Series() if rtt_log is None else rtt_log
         self.on_deliver = on_deliver
         self.window = window
         # sender
@@ -195,8 +200,7 @@ class TransportSide:
             self.srtt = float(sample)
         else:
             self.srtt = (1 - SRTT_ALPHA) * self.srtt + SRTT_ALPHA * sample
-        if self.on_rtt_sample is not None:
-            self.on_rtt_sample(meta.sent_at, sample)
+        self.rtt_log.append(meta.sent_at, sample)
 
     def flush_all(self) -> None:
         """Retransmit everything outstanding; called when a fresh address

@@ -95,8 +95,10 @@ class TapServer:
         now_ms = now // US_PER_MS
         # Only addressed in-range sources enter the buffer, so a buffered
         # source needs neither check below.
+        # A client's packets share its one Uid object, so the identity test
+        # settles nearly every known binding without the dataclass __eq__.
         entry = self.buffer.get(src)
-        if entry is not None and entry.uid == pkt.src_mac:
+        if entry is not None and (entry.uid is pkt.src_mac or entry.uid == pkt.src_mac):
             if now_ms > entry.last_seen_ms:
                 entry.last_seen_ms = now_ms
             return None

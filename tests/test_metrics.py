@@ -1,10 +1,15 @@
-"""Metrics trace: CSV contract, window math, steady-state helpers."""
+"""Metrics trace: sample series, CSV contract, window math, steady-state
+helpers."""
+
+from hypothesis import given, strategies as st
 
 from sdnmob.sim.metrics import (
     CSV_HEADER,
     HandoffRecord,
     MetricsTrace,
+    Series,
     WINDOW_US,
+    _seconds,
     write_csv,
 )
 from sdnmob.units import US_PER_S
@@ -16,15 +21,34 @@ def make_trace(**kwargs):
     return MetricsTrace(**defaults)
 
 
+class TestSeries:
+    def test_reads_as_its_pairs(self):
+        pairs = [(0, 7), (5, -3), (5, 2**62)]
+        series = Series()
+        for t, v in pairs:
+            series.append(t, v)
+        assert len(series) == 3
+        assert list(series) == pairs
+        assert [series[i] for i in range(3)] == pairs
+        assert series[-1] == pairs[-1]
+        assert series == Series(pairs)
+        assert series != Series(pairs[:2])
+        assert Series() == Series() and not Series()
+
+    def test_columns_are_int64(self):
+        series = Series([(1, 2)])
+        assert series.times.typecode == series.values.typecode == "q"
+
+
 class TestCsv:
     def test_header_is_bit_exact(self):
         assert CSV_HEADER == "series,time_s,value,unit"
 
     def test_six_decimal_times_and_values(self, tmp_path):
         trace = make_trace(
-            rtt_client=[(100_000, 15_512)],
-            rtt_server=[(200_000, 16_000)],
-            deliveries=[(50_000, 800)],
+            rtt_client=Series([(100_000, 15_512)]),
+            rtt_server=Series([(200_000, 16_000)]),
+            deliveries=Series([(50_000, 800)]),
             handoffs=[HandoffRecord(10_000_000, 10_112_144)],
         )
         path = tmp_path / "m.csv"
@@ -36,6 +60,19 @@ class TestCsv:
         assert lines[3] == "throughput,0.000000,8000.000000,bps"
         assert lines[4] == "switchover_delay,10.000000,0.112144,s"
 
+    @given(st.integers(0, 2**50), st.integers(0, 2**50))
+    def test_integer_seconds_equal_float_formatting(self, t_us, n_us):
+        float_form = f"{n_us / US_PER_S:.6f}"
+        assert _seconds(n_us) == float_form
+        trace = make_trace(rtt_client=Series([(t_us, n_us)]))
+        assert trace.csv_rows()[1] == f"rtt_client,{t_us / US_PER_S:.6f},{float_form},s"
+
+    def test_streamed_file_equals_rows(self, traces, tmp_path):
+        path = tmp_path / "m.csv"
+        for trace in traces.values():
+            write_csv(trace, str(path))
+            assert path.read_text() == "\n".join(trace.csv_rows()) + "\n"
+
     def test_series_vocabulary(self, traces):
         allowed = {"rtt_client", "rtt_server", "throughput", "switchover_delay"}
         for trace in traces.values():
@@ -45,11 +82,11 @@ class TestCsv:
 
 class TestWindows:
     def test_tumbling_window_accumulation(self):
-        trace = make_trace(deliveries=[
+        trace = make_trace(deliveries=Series([
             (10_000, 100), (20_000, 100),           # window 0
             (WINDOW_US + 1, 300),                   # window 1
             (3 * WINDOW_US + 5, 500),               # window 3 (2 empty)
-        ])
+        ]))
         samples = trace.throughput_samples()
         assert [b for _, b in samples] == [
             200 * US_PER_S / WINDOW_US,
@@ -60,9 +97,29 @@ class TestWindows:
         assert [t for t, _ in samples] == [0, WINDOW_US, 2 * WINDOW_US, 3 * WINDOW_US]
 
     def test_goodput_between_is_interval_exact(self):
-        trace = make_trace(deliveries=[(0, 80), (10, 80), (20, 80)])
+        trace = make_trace(deliveries=Series([(0, 80), (10, 80), (20, 80)]))
         assert trace.goodput_between(0, 20) == 160 * US_PER_S / 20
         assert trace.goodput_between(20, 20) == 0.0
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 50), st.integers(0, 10_000)), max_size=40),
+        st.integers(-10, 1_000),
+        st.integers(-10, 1_000),
+    )
+    def test_goodput_between_matches_linear_sum(self, steps, start, end):
+        """Sorted series (gaps may be 0) against the linear sum over every
+        sample, for empty, equal-bound and out-of-range windows too."""
+        t, pairs = 0, []
+        for gap, bits in steps:
+            t += gap
+            pairs.append((t, bits))
+        trace = make_trace(deliveries=Series(pairs))
+        if end <= start:
+            expected = 0.0
+        else:
+            total = sum(b for t, b in pairs if start <= t < end)
+            expected = total * US_PER_S / (end - start)
+        assert trace.goodput_between(start, end) == expected
 
     def test_empty_trace(self):
         trace = make_trace()

@@ -1,6 +1,7 @@
 """End-to-end simulation behavior: topology build, mobility, baselines,
 conservation and causality."""
 
+import itertools
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
@@ -343,7 +344,7 @@ class TestSimInvariants:
         for (scenario, _), trace in traces.items():
             prop = bundled_configs[scenario].topology.link_delay_us
             floor = 2 * 3 * prop  # three hops each way, propagation only
-            for _, rtt in trace.rtt_client + trace.rtt_server:
+            for _, rtt in itertools.chain(trace.rtt_client, trace.rtt_server):
                 assert rtt >= floor
 
     def test_throughput_never_exceeds_bottleneck(self, traces, bundled_configs):

@@ -53,6 +53,14 @@ class TestObserve:
         assert tap.observe_packet(tapped("10.1.0.5"), now=usec(2)) is None
         assert tap.buffer[int(IPv4Address("10.1.0.5"))].last_seen_ms == 2000
 
+    def test_equal_uid_object_refreshes_without_report(self):
+        tap = TapServer(ZONE)
+        tap.observe_packet(tapped("10.1.0.5", uid=UID1), now=usec(1))
+        same = Uid(UID1.text)
+        assert same == UID1 and same is not UID1
+        assert tap.observe_packet(tapped("10.1.0.5", uid=same), now=usec(2)) is None
+        assert tap.buffer[int(IPv4Address("10.1.0.5"))].last_seen_ms == 2000
+
     def test_address_reuse_reported_immediately(self):
         tap = TapServer(ZONE)
         tap.observe_packet(tapped("10.1.0.5", uid=UID1), now=0)

@@ -5,6 +5,7 @@ from ipaddress import IPv4Address
 from sdnmob.addressing import Uid
 from sdnmob.packet import Packet, PacketKind
 from sdnmob.sim.events import Simulator
+from sdnmob.sim.metrics import Series
 from sdnmob.sim.transport import INITIAL_RTO_US, TransportSide
 
 UID = Uid("aa:bb:cc:00:00:01")
@@ -99,20 +100,19 @@ class TestSender:
         assert all(str(p.src_ip) == "10.2.0.9" for p in flushed)
 
     def test_rtt_sampled_only_for_unretransmitted(self):
-        samples = []
+        samples = Series()
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0, "client",
-                             on_rtt_sample=lambda t, r: samples.append((t, r)))
+        side = TransportSide(host, 0, "client", rtt_log=samples)
         side.submit(100)
         sim.run(until=INITIAL_RTO_US + 1)  # forces one retransmission
         side.receive_ack(ack_for(side, 1))
-        assert samples == []
+        assert list(samples) == []
         side.submit(100)
         sent_at = sim.now
         sim.now += 5_000
         side.receive_ack(ack_for(side, 2, seq=1))
-        assert samples == [(sent_at, 5_000)]
+        assert list(samples) == [(sent_at, 5_000)]
 
 
 class TestTimer:
