@@ -21,8 +21,7 @@ class Uid:
     """Universal client identifier: a 48-bit, MAC-style value.
 
     Canonical text form is 17 characters of lowercase colon-separated hex,
-    e.g. ``aa:bb:cc:00:00:01``; parsing normalizes case and round-trips
-    losslessly.
+    e.g. ``aa:bb:cc:00:00:01``.
     """
 
     text: str
@@ -30,13 +29,6 @@ class Uid:
     def __post_init__(self) -> None:
         if not _UID_RE.match(self.text):
             raise AddressError(f"not a canonical 48-bit identifier: {self.text!r}")
-
-    @classmethod
-    def parse(cls, raw: str) -> "Uid":
-        candidate = raw.strip().lower()
-        if not _UID_RE.match(candidate):
-            raise AddressError(f"cannot parse identifier: {raw!r}")
-        return cls(candidate)
 
     @classmethod
     def from_int(cls, value: int) -> "Uid":

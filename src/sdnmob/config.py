@@ -19,14 +19,22 @@ the integer-microsecond time base on load.
 
     [tunnel]
     encap_overhead_bytes = 40
+
+The tables below are the format. Each row maps a file key to the config
+field it sets, the kind of its value and whether it is required; omitted
+keys take the dataclass defaults. ``[topology]`` and ``[tunnel]`` hold one
+key per line. A ``[zones]`` line is ``<zone id> = <key>=<value> ...`` and an
+``[events]`` line is ``<label> = <kind> <key>=<value> ...``. Parsing,
+``dump_config`` and the seed override all read the same tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
 from ipaddress import IPv4Network
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .sim.runner import (
     MoveClient,
@@ -42,14 +50,7 @@ from .tap_server import TapFilter, ZoneConfig
 from .units import usec
 
 SECTIONS = ("topology", "zones", "events", "tunnel")
-
-_TOPOLOGY_KEYS = {
-    "link_bandwidth_bps", "link_delay_s", "control_delay_s",
-    "vpip_pool", "seed", "idle_timeout_s", "keepalive_interval_s",
-}
-_ZONE_KEYS = {"range", "dhcp_latency_s", "tap_filter"}
-_TUNNEL_KEYS = {"encap_overhead_bytes", "binding_update_delay_s"}
-_EVENT_KINDS = ("start_echo", "start_bulk", "move_client", "stop")
+_REQUIRED_SECTIONS = ("topology", "zones", "events")
 
 MODES = ("sdn", "pmip", "both")
 
@@ -69,259 +70,214 @@ class RunConfig:
     tunnel: Optional[TunnelConfig]
     output_dir: str
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode in ("pmip", "both") and self.tunnel is None:
-            raise ValueError(f"mode {self.mode!r} needs a [tunnel] section")
+
+class _Kind(NamedTuple):
+    name: str  # in "bad <name>" diagnostics
+    parse: Callable[[str], object]  # raises ValueError or OverflowError
+    dump: Callable[[object], str] = str
 
 
-@dataclass
-class _Entry:
-    line: int
-    value: str
+class _Key(NamedTuple):
+    field: str
+    kind: _Kind
+    required: bool = False
 
 
-def _parse_sections(text: str, source: str) -> Dict[str, "OrderedEntries"]:
-    sections: Dict[str, List[Tuple[str, _Entry]]] = {}
-    current: Optional[str] = None
+def _seconds_text(us: int) -> str:
+    return f"{us / 1e6:.6f}"
+
+
+def _usec_text(text: str) -> int:
+    # round() inside usec raises ValueError on nan and OverflowError on inf.
+    return usec(float(text))
+
+
+_DURATION = _Kind("duration", _usec_text, _seconds_text)
+_TIME = _Kind("time", _usec_text, _seconds_text)
+_INT = _Kind("int", int)
+_BYTES = _Kind("byte count", int)
+_RANGE = _Kind("address range", IPv4Network)
+_ZONE_ID = _Kind("zone id", str)
+_TAP_FILTER = _Kind(f"tap filter (one of {'|'.join(f.value for f in TapFilter)})",
+                    TapFilter, lambda f: f.value)
+
+_TOPOLOGY: Dict[str, _Key] = {
+    "link_bandwidth_bps": _Key("link_bandwidth_bps", _INT),
+    "link_delay_s": _Key("link_delay_us", _DURATION),
+    "control_delay_s": _Key("control_delay_us", _DURATION),
+    "vpip_pool": _Key("vpip_pool", _RANGE),
+    "seed": _Key("seed", _INT),
+    "idle_timeout_s": _Key("idle_timeout_us", _DURATION),
+    "keepalive_interval_s": _Key("keepalive_interval_us", _DURATION),
+}
+_ZONE: Dict[str, _Key] = {
+    "range": _Key("dhcp_range", _RANGE, required=True),
+    "dhcp_latency_s": _Key("dhcp_latency", _DURATION),
+    "tap_filter": _Key("tap_filter", _TAP_FILTER),
+}
+_TUNNEL: Dict[str, _Key] = {
+    "encap_overhead_bytes": _Key("encap_overhead_bytes", _BYTES),
+    "binding_update_delay_s": _Key("binding_update_delay_us", _DURATION),
+}
+_AT = {"at": _Key("at_us", _TIME, required=True)}
+_PAYLOAD = {"payload_len": _Key("payload_len", _BYTES, required=True)}
+_EVENTS: Dict[str, Tuple[type, Dict[str, _Key]]] = {
+    "start_echo": (StartEcho, {**_AT, "interval_s": _Key("interval_us", _DURATION, True),
+                               **_PAYLOAD}),
+    "start_bulk": (StartBulkTransfer, {**_AT, "total_bytes": _Key("total_bytes", _BYTES, True),
+                                       **_PAYLOAD}),
+    "move_client": (MoveClient, {**_AT, "zone": _Key("zone_id", _ZONE_ID, True)}),
+    "stop": (Stop, _AT),
+}
+_EVENT_KIND_OF = {cls: kind for kind, (cls, _) in _EVENTS.items()}
+
+# key -> (line, text); a section's keys, or one line's attributes.
+_Entries = Dict[str, Tuple[int, str]]
+
+
+def _parse_sections(text: str, source: str) -> Dict[str, _Entries]:
+    sections: Dict[str, _Entries] = {}
+    current: Optional[_Entries] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        if not line or line[0] in "#;":
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             name = line[1:-1].strip().lower()
             if name not in SECTIONS:
                 raise ConfigError(source, lineno, f"unknown section [{name}]")
             if name in sections:
                 raise ConfigError(source, lineno, f"duplicate section [{name}]")
-            sections[name] = []
-            current = name
+            current = sections[name] = {}
             continue
         if current is None:
             raise ConfigError(source, lineno, f"content before any section: {line!r}")
-        if "=" not in line:
-            raise ConfigError(source, lineno, f"expected 'key = value': {line!r}")
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
+        if not eq:
+            raise ConfigError(source, lineno, f"expected 'key = value': {line!r}")
         if not key:
             raise ConfigError(source, lineno, "empty key")
-        if any(k == key for k, _ in sections[current]):
-            raise ConfigError(source, lineno, f"duplicate key {key!r} in [{current}]")
-        sections[current].append((key, _Entry(lineno, value)))
-    if "topology" not in sections:
-        raise ConfigError(source, 0, "missing [topology] section")
-    if "zones" not in sections:
-        raise ConfigError(source, 0, "missing [zones] section")
-    if "events" not in sections:
-        raise ConfigError(source, 0, "missing [events] section")
+        if key in current:
+            raise ConfigError(source, lineno, f"duplicate key {key!r} in [{name}]")
+        current[key] = (lineno, value.strip())
+    for name in _REQUIRED_SECTIONS:
+        if name not in sections:
+            raise ConfigError(source, 0, f"missing [{name}] section")
     return sections
 
 
-def _attrs(value: str, allowed: set, source: str, line: int) -> Dict[str, str]:
-    """Parse 'k=v k=v ...' attribute lists used by zone and event values."""
-    out: Dict[str, str] = {}
-    for token in value.split():
-        if "=" not in token:
+def _attrs(tokens: List[str], source: str, line: int) -> _Entries:
+    """Split ``k=v`` tokens of one zone or event line."""
+    out: _Entries = {}
+    for token in tokens:
+        k, eq, v = token.partition("=")
+        if not eq:
             raise ConfigError(source, line, f"expected key=value token, got {token!r}")
-        k, _, v = token.partition("=")
-        if k not in allowed:
-            raise ConfigError(source, line, f"unknown attribute {k!r}")
         if k in out:
             raise ConfigError(source, line, f"duplicate attribute {k!r}")
-        out[k] = v
+        out[k] = (line, v)
     return out
 
 
-def _convert(source: str, line: int, caster, value: str, what: str):
+def _make(cls, table: Dict[str, _Key], entries: _Entries, where: str,
+          source: str, line: int, **fixed):
+    """Build ``cls`` from ``entries`` read through ``table``.
+
+    ``line`` locates a missing required key and a failed dataclass check.
+    """
+    kwargs: Dict[str, object] = dict(fixed)
+    for key, (lineno, text) in entries.items():
+        row = table.get(key)
+        if row is None:
+            raise ConfigError(source, lineno, f"unknown key {key!r} in {where}")
+        try:
+            kwargs[row.field] = row.kind.parse(text)
+        except (ValueError, OverflowError):
+            raise ConfigError(source, lineno,
+                              f"bad {row.kind.name} for {key}: {text!r}") from None
+    for key, row in table.items():
+        if row.required and row.field not in kwargs:
+            raise ConfigError(source, line, f"{where} needs {key}=")
     try:
-        return caster(value)
-    except (ValueError, TypeError):
-        raise ConfigError(source, line, f"bad {what}: {value!r}") from None
+        return cls(**kwargs)
+    except ConfigurationError as exc:
+        raise ConfigError(source, line, str(exc)) from None
+
+
+def _last_line(entries: _Entries) -> int:
+    return max((line for line, _ in entries.values()), default=0)
+
+
+def _parse_event(value: str, source: str, line: int) -> ScenarioEvent:
+    kind, *tokens = value.split() or [""]
+    if kind not in _EVENTS:
+        raise ConfigError(source, line, f"unknown event kind {kind!r}; "
+                                        f"expected one of {tuple(_EVENTS)}")
+    cls, table = _EVENTS[kind]
+    return _make(cls, table, _attrs(tokens, source, line), f"event {kind!r}", source, line)
 
 
 def parse_scenario(text: str, source: str = "<config>") -> Tuple[
         TopologyConfig, List[ScenarioEvent], Optional[TunnelConfig]]:
     sections = _parse_sections(text, source)
+    zones = tuple(
+        _make(ZoneConfig, _ZONE, _attrs(value.split(), source, line),
+              f"zone {zone_id!r}", source, line, zone_id=zone_id)
+        for zone_id, (line, value) in sections["zones"].items()
+    )
+    topo = sections["topology"]
+    topology = _make(TopologyConfig, _TOPOLOGY, topo, "[topology]", source,
+                     _last_line(topo), zones=zones)
 
-    topo_kwargs: Dict[str, object] = {}
-    topo_line = 0
-    for key, entry in sections["topology"]:
-        topo_line = entry.line
-        if key not in _TOPOLOGY_KEYS:
-            raise ConfigError(source, entry.line, f"unknown key {key!r} in [topology]")
-        if key == "link_bandwidth_bps":
-            topo_kwargs[key] = _convert(source, entry.line, int, entry.value, "bit rate")
-        elif key == "seed":
-            topo_kwargs[key] = _convert(source, entry.line, int, entry.value, "seed")
-        elif key == "vpip_pool":
-            topo_kwargs[key] = _convert(
-                source, entry.line, IPv4Network, entry.value, "address range")
-        else:  # *_s duration keys
-            sec = _convert(source, entry.line, float, entry.value, "duration")
-            topo_kwargs[key[: -len("_s")] + "_us"] = usec(sec)
-
-    zones: List[ZoneConfig] = []
-    for zone_id, entry in sections["zones"]:
-        attrs = _attrs(entry.value, _ZONE_KEYS, source, entry.line)
-        if "range" not in attrs:
-            raise ConfigError(source, entry.line, f"zone {zone_id!r} needs range=")
-        rng = _convert(source, entry.line, IPv4Network, attrs["range"], "address range")
-        latency = usec(_convert(source, entry.line, float,
-                                attrs.get("dhcp_latency_s", "0.1"), "duration"))
-        filter_name = attrs.get("tap_filter", "all")
-        try:
-            tap_filter = TapFilter(filter_name)
-        except ValueError:
-            raise ConfigError(source, entry.line,
-                              f"tap_filter must be one of "
-                              f"{[f.value for f in TapFilter]}, got {filter_name!r}")
-        zones.append(ZoneConfig(zone_id, rng, latency, tap_filter))
-
-    try:
-        topology = TopologyConfig(zones=tuple(zones), **topo_kwargs)
-    except ConfigurationError as exc:
-        raise ConfigError(source, topo_line, str(exc)) from None
-
-    events: List[ScenarioEvent] = []
-    event_lines: List[int] = []
-    for label, entry in sections["events"]:
-        events.append(_parse_event(entry.value, source, entry.line, topology))
-        event_lines.append(entry.line)
+    event_lines = [line for line, _ in sections["events"].values()]
+    events = [_parse_event(value, source, line)
+              for line, value in sections["events"].values()]
     try:
         validate_events(topology, events)
     except ScenarioError as exc:
-        line = event_lines[0] if event_lines else 0
-        raise ConfigError(source, line, str(exc)) from None
+        raise ConfigError(source, event_lines[exc.index], str(exc)) from None
 
     tunnel: Optional[TunnelConfig] = None
     if "tunnel" in sections:
-        t_kwargs: Dict[str, object] = {}
-        for key, entry in sections["tunnel"]:
-            if key not in _TUNNEL_KEYS:
-                raise ConfigError(source, entry.line, f"unknown key {key!r} in [tunnel]")
-            if key == "encap_overhead_bytes":
-                t_kwargs[key] = _convert(source, entry.line, int, entry.value, "byte count")
-            else:
-                sec = _convert(source, entry.line, float, entry.value, "duration")
-                t_kwargs["binding_update_delay_us"] = usec(sec)
-        tunnel = TunnelConfig(**t_kwargs)
-
+        entries = sections["tunnel"]
+        tunnel = _make(TunnelConfig, _TUNNEL, entries, "[tunnel]", source, _last_line(entries))
     return topology, events, tunnel
-
-
-def _parse_event(value: str, source: str, line: int,
-                 topology: TopologyConfig) -> ScenarioEvent:
-    tokens = value.split()
-    if not tokens:
-        raise ConfigError(source, line, "empty event")
-    kind = tokens[0]
-    if kind not in _EVENT_KINDS:
-        raise ConfigError(source, line,
-                          f"unknown event kind {kind!r}; expected one of {_EVENT_KINDS}")
-    keys = {
-        "start_echo": {"at", "interval_s", "payload_len"},
-        "start_bulk": {"at", "total_bytes", "payload_len"},
-        "move_client": {"at", "zone"},
-        "stop": {"at"},
-    }[kind]
-    attrs = _attrs(" ".join(tokens[1:]), keys, source, line)
-    if "at" not in attrs:
-        raise ConfigError(source, line, f"event {kind!r} needs at=<seconds>")
-    at = usec(_convert(source, line, float, attrs["at"], "time"))
-    if kind == "start_echo":
-        for needed in ("interval_s", "payload_len"):
-            if needed not in attrs:
-                raise ConfigError(source, line, f"start_echo needs {needed}=")
-        return StartEcho(
-            at,
-            usec(_convert(source, line, float, attrs["interval_s"], "duration")),
-            _convert(source, line, int, attrs["payload_len"], "byte count"),
-        )
-    if kind == "start_bulk":
-        for needed in ("total_bytes", "payload_len"):
-            if needed not in attrs:
-                raise ConfigError(source, line, f"start_bulk needs {needed}=")
-        return StartBulkTransfer(
-            at,
-            _convert(source, line, int, attrs["total_bytes"], "byte count"),
-            _convert(source, line, int, attrs["payload_len"], "byte count"),
-        )
-    if kind == "move_client":
-        if "zone" not in attrs:
-            raise ConfigError(source, line, "move_client needs zone=")
-        zone_id = attrs["zone"]
-        if not any(z.zone_id == zone_id for z in topology.zones):
-            raise ConfigError(source, line, f"unknown zone {zone_id!r}")
-        return MoveClient(at, zone_id)
-    return Stop(at)
 
 
 def load_config(path: str, mode: str = "both", output_dir: str = "out",
                 seed_override: Optional[int] = None) -> RunConfig:
     """Load and fully validate a scenario file into a runnable config."""
+    if mode not in MODES:
+        raise ConfigError(path, 0, f"mode must be one of {MODES}, got {mode!r}")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     topology, events, tunnel = parse_scenario(text, source=path)
     if seed_override is not None:
-        topology = TopologyConfig(
-            zones=topology.zones,
-            link_bandwidth_bps=topology.link_bandwidth_bps,
-            link_delay_us=topology.link_delay_us,
-            control_delay_us=topology.control_delay_us,
-            vpip_pool=topology.vpip_pool,
-            seed=seed_override,
-            idle_timeout_us=topology.idle_timeout_us,
-            keepalive_interval_us=topology.keepalive_interval_us,
-        )
-    if mode in ("pmip", "both") and tunnel is None:
+        topology = dataclasses.replace(topology, seed=seed_override)
+    if mode != "sdn" and tunnel is None:
         raise ConfigError(path, 0, f"mode {mode!r} needs a [tunnel] section")
     return RunConfig(topology, events, mode, tunnel, output_dir)
 
 
+def _dump(table: Dict[str, _Key], obj, sep: str) -> List[str]:
+    """``key<sep>value`` for every table row whose field is set on ``obj``."""
+    return [f"{key}{sep}{row.kind.dump(value)}" for key, row in table.items()
+            if (value := getattr(obj, row.field)) is not None]
+
+
 def dump_config(config: RunConfig) -> str:
     """Serialize back to the file format; reloading yields an equal config."""
-    t = config.topology
-    lines = [
-        "[topology]",
-        f"link_bandwidth_bps = {t.link_bandwidth_bps}",
-        f"link_delay_s = {t.link_delay_us / 1e6:.6f}",
-        f"control_delay_s = {t.control_delay_us / 1e6:.6f}",
-        f"vpip_pool = {t.vpip_pool}",
-        f"seed = {t.seed}",
-        f"idle_timeout_s = {t.idle_timeout_us / 1e6:.6f}",
-        f"keepalive_interval_s = {t.keepalive_interval_us / 1e6:.6f}",
-        "",
-        "[zones]",
-    ]
-    for z in t.zones:
-        lines.append(
-            f"{z.zone_id} = range={z.dhcp_range} "
-            f"dhcp_latency_s={z.dhcp_latency / 1e6:.6f} "
-            f"tap_filter={z.tap_filter.value}"
-        )
+    lines = ["[topology]", *_dump(_TOPOLOGY, config.topology, " = "), "", "[zones]"]
+    lines += [" ".join([f"{z.zone_id} =", *_dump(_ZONE, z, "=")])
+              for z in config.topology.zones]
     lines += ["", "[events]"]
     for i, e in enumerate(config.events):
-        lines.append(f"e{i} = {_dump_event(e)}")
+        kind = _EVENT_KIND_OF[type(e)]
+        lines.append(" ".join([f"e{i} = {kind}", *_dump(_EVENTS[kind][1], e, "=")]))
     if config.tunnel is not None:
-        lines += ["", "[tunnel]",
-                  f"encap_overhead_bytes = {config.tunnel.encap_overhead_bytes}"]
-        bud = config.tunnel.binding_update_delay_us
-        if bud is not None:
-            lines.append(f"binding_update_delay_s = {bud / 1e6:.6f}")
+        lines += ["", "[tunnel]", *_dump(_TUNNEL, config.tunnel, " = ")]
     return "\n".join(lines) + "\n"
-
-
-def _dump_event(e: ScenarioEvent) -> str:
-    at = f"at={e.at_us / 1e6:.6f}"
-    if isinstance(e, StartEcho):
-        return f"start_echo {at} interval_s={e.interval_us / 1e6:.6f} payload_len={e.payload_len}"
-    if isinstance(e, StartBulkTransfer):
-        return f"start_bulk {at} total_bytes={e.total_bytes} payload_len={e.payload_len}"
-    if isinstance(e, MoveClient):
-        return f"move_client {at} zone={e.zone_id}"
-    return f"stop {at}"
 
 
 def bundled_scenario_path(name: str) -> Optional[str]:

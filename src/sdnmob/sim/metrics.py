@@ -214,8 +214,6 @@ def write_csv(trace: MetricsTrace, path: str) -> None:
 @dataclass
 class ComparisonSummary:
     switchover_pairs: List[Tuple[float, float, float]]  # (a_s, b_s, a-b)
-    mean_rtt_client: Tuple[Optional[float], Optional[float]]
-    mean_rtt_server: Tuple[Optional[float], Optional[float]]
     steady_goodput_bps: Tuple[float, float]
     goodput_ratio_b_over_a: Optional[float]
     losses: Tuple[int, int]
@@ -238,8 +236,6 @@ def compare_runs(a: MetricsTrace, b: MetricsTrace) -> ComparisonSummary:
     ratio = steady_b / steady_a if steady_a > 0 else None
     return ComparisonSummary(
         switchover_pairs=pairs,
-        mean_rtt_client=(a.mean_rtt_s("client"), b.mean_rtt_s("client")),
-        mean_rtt_server=(a.mean_rtt_s("server"), b.mean_rtt_s("server")),
         steady_goodput_bps=(steady_a, steady_b),
         goodput_ratio_b_over_a=ratio,
         losses=(a.losses, b.losses),

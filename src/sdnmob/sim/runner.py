@@ -27,7 +27,15 @@ RUNAWAY_GRACE_US = 120 * US_PER_S
 
 
 class ScenarioError(ValueError):
-    pass
+    """An invalid event list or mobility request.
+
+    ``index`` is the position of the offending event when ``validate_events``
+    raised it, so a parser can map the failure to that event's source line.
+    """
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -65,39 +73,41 @@ def events_fingerprint(events: List[ScenarioEvent]) -> Tuple[str, ...]:
 def validate_events(cfg: TopologyConfig, events: List[ScenarioEvent]) -> None:
     """Static checks: ordering, zone references, traffic termination."""
     last_at = 0
-    for e in events:
+    for i, e in enumerate(events):
         if e.at_us < 0:
-            raise ScenarioError(f"event before t=0: {e}")
+            raise ScenarioError(f"event before t=0: {e}", i)
         if e.at_us < last_at:
-            raise ScenarioError(f"events not sorted by time at {e}")
+            raise ScenarioError(f"events not sorted by time at {e}", i)
         last_at = e.at_us
+    zones = {z.zone_id: z for z in cfg.zones}
     cur_zone = cfg.zones[0].zone_id
     prev_move: Optional[MoveClient] = None
-    for e in events:
+    for i, e in enumerate(events):
         if isinstance(e, MoveClient):
-            zone = cfg.zone(e.zone_id)  # raises on unknown zone
+            if e.zone_id not in zones:
+                raise ScenarioError(f"unknown zone {e.zone_id!r}", i)
             if e.zone_id == cur_zone:
-                raise ScenarioError(f"move to current zone {e.zone_id!r} at t={e.at_us}")
+                raise ScenarioError(f"move to current zone {e.zone_id!r} at t={e.at_us}", i)
             if prev_move is None:
                 if e.at_us <= cfg.zones[0].dhcp_latency:
-                    raise ScenarioError("first move overlaps initial attach")
+                    raise ScenarioError("first move overlaps initial attach", i)
             else:
                 gap = e.at_us - prev_move.at_us
-                if gap <= cfg.zone(prev_move.zone_id).dhcp_latency:
+                if gap <= zones[prev_move.zone_id].dhcp_latency:
                     raise ScenarioError(
                         f"moves at t={prev_move.at_us} and t={e.at_us} overlap: "
-                        "only one mobility event may be pending"
+                        "only one mobility event may be pending", i
                     )
             cur_zone = e.zone_id
             prev_move = e
         elif isinstance(e, StartEcho):
             if e.interval_us <= 0 or e.payload_len <= 0:
-                raise ScenarioError(f"bad echo parameters: {e}")
+                raise ScenarioError(f"bad echo parameters: {e}", i)
             if not any(isinstance(s, Stop) and s.at_us >= e.at_us for s in events):
-                raise ScenarioError("echo traffic needs a later stop event")
+                raise ScenarioError("echo traffic needs a later stop event", i)
         elif isinstance(e, StartBulkTransfer):
             if e.payload_len <= 0 or e.total_bytes < e.payload_len:
-                raise ScenarioError(f"bad bulk parameters: {e}")
+                raise ScenarioError(f"bad bulk parameters: {e}", i)
 
 
 def move_client(net: Network, zone_id: str) -> None:

@@ -225,11 +225,8 @@ class ServerHost:
             if conn_id in self.net.echo_conn_ids:
                 conn.side.submit(payload_len)
 
-        side = TransportSide(
-            self, conn_id, role="server",
-            rtt_log=self.net.rtt_server,
-            on_deliver=on_deliver,
-        )
+        side = TransportSide(self, conn_id, rtt_log=self.net.rtt_server,
+                             on_deliver=on_deliver)
         conn = ServerConn(side, src)
         self.conns[conn_id] = conn
         return conn
@@ -478,10 +475,7 @@ class Network:
         self._next_conn_id += 1
         if echo:
             self.echo_conn_ids.add(conn_id)
-        side = TransportSide(
-            self.client, conn_id, role="client",
-            rtt_log=self.rtt_client,
-        )
+        side = TransportSide(self.client, conn_id, rtt_log=self.rtt_client)
         self.client.conns[conn_id] = side
         return conn_id, side
 

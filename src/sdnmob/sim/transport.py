@@ -64,14 +64,12 @@ class TransportSide:
         self,
         host,
         conn_id: int,
-        role: str,
         rtt_log: Optional[Series] = None,
         on_deliver: Optional[Callable[[int, int], None]] = None,
         window: int = SEND_WINDOW_SEGMENTS,
     ) -> None:
         self.host = host
         self.conn_id = conn_id
-        self.role = role
         self.rtt_log = Series() if rtt_log is None else rtt_log
         self.on_deliver = on_deliver
         self.window = window
@@ -91,7 +89,6 @@ class TransportSide:
         self.expected = 0
         self.ooo: dict[int, int] = {}
         self.delivered_segments = 0
-        self.delivered_bytes = 0
         self.duplicates = 0
         self._ack_seq = 0
 
@@ -232,7 +229,6 @@ class TransportSide:
     def _deliver(self, seq: int, payload_len: int) -> None:
         self.expected = seq + 1
         self.delivered_segments += 1
-        self.delivered_bytes += payload_len
         if self.on_deliver is not None:
             self.on_deliver(self.host.sim.now, payload_len)
 

@@ -78,3 +78,10 @@ class TestRunCommand:
                    "--seed", "7", "--out", str(out)])
         assert rc == EXIT_OK
         assert "seed: 7" in (out / "summary.txt").read_text()
+
+    def test_non_finite_time_exits_config_with_location(self, tmp_path, capsys):
+        config = tmp_path / "nan.ini"
+        config.write_text(MINIMAL_SDN.replace("stop at=2", "stop at=nan"))
+        rc = main(["run", str(config), "--mode", "sdn", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert f"{config}:10: bad time for at: 'nan'" in capsys.readouterr().err

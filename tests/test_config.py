@@ -1,16 +1,31 @@
 """Scenario file parsing, validation diagnostics and round-tripping."""
 
+import re
+from ipaddress import IPv4Network
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdnmob.config import (
+    _EVENTS,
+    _TOPOLOGY,
+    _TUNNEL,
+    _ZONE,
+    MODES,
     ConfigError,
+    RunConfig,
     bundled_scenario_path,
     dump_config,
     load_config,
     parse_scenario,
 )
-from sdnmob.sim.runner import MoveClient, StartEcho, Stop
+from sdnmob.sim.runner import MoveClient, StartBulkTransfer, StartEcho, Stop
+from sdnmob.sim.topology import TopologyConfig, TunnelConfig
+from sdnmob.tap_server import TapFilter, ZoneConfig
 from sdnmob.units import usec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 GOOD = """\
 [topology]
@@ -90,6 +105,123 @@ class TestParse:
             parse_scenario(bad)
         assert "stop" in str(err.value)
 
+    def test_bad_tunnel_value_has_location(self):
+        bad = GOOD.replace("encap_overhead_bytes = 40", "encap_overhead_bytes = -1")
+        with pytest.raises(ConfigError, match="t.ini:19: encapsulation overhead"):
+            parse_scenario(bad, source="t.ini")
+
+
+# (line of GOOD to replace, replacement with {} for the value)
+DURATION_KEYS = {
+    "link_delay_s": ("link_delay_s = 0.001", "link_delay_s = {}"),
+    "control_delay_s": ("control_delay_s = 0.005", "control_delay_s = {}"),
+    "idle_timeout_s": ("seed = 7", "idle_timeout_s = {}"),
+    "keepalive_interval_s": ("seed = 7", "keepalive_interval_s = {}"),
+    "dhcp_latency_s": ("dhcp_latency_s=0.1", "dhcp_latency_s={}"),
+    "interval_s": ("interval_s=0.05", "interval_s={}"),
+    "binding_update_delay_s": ("binding_update_delay_s = 0.01",
+                               "binding_update_delay_s = {}"),
+    "at": ("stop at=30", "stop at={}"),
+}
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(DURATION_KEYS))
+    def test_rejected_at_the_key_line(self, key, value):
+        old, new = DURATION_KEYS[key]
+        fragment = new.format(value)
+        bad = GOOD.replace(old, fragment)
+        line = next(i for i, text in enumerate(bad.splitlines(), start=1)
+                    if fragment in text)
+        kind = "time" if key == "at" else "duration"
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(bad, source="f.ini")
+        assert str(err.value) == f"f.ini:{line}: bad {kind} for {key}: {value!r}"
+
+
+def events_text(*lines):
+    """A valid two-zone scenario whose events section holds ``lines``,
+    the first on line 9."""
+    return ("[topology]\nseed = 1\n\n[zones]\n"
+            "zone1 = range=10.1.0.0/24\nzone2 = range=10.2.0.0/24\n\n[events]\n"
+            + "".join(f"e{i} = {text}\n" for i, text in enumerate(lines)))
+
+
+ECHO = "start_echo at=0 interval_s=0.05 payload_len=100"
+BULK = "start_bulk at=0 total_bytes=1000 payload_len=100"
+
+
+class TestEventListLocation:
+    """Each validate_events rule is reported at the offending event's line."""
+
+    @pytest.mark.parametrize("lines,bad_index,message", [
+        ((BULK, "stop at=-1"), 1, "event before t=0"),
+        ((ECHO, "stop at=30", "move_client at=10 zone=zone2"), 2, "not sorted"),
+        ((ECHO, "move_client at=10 zone=zone9", "stop at=30"), 1, "unknown zone 'zone9'"),
+        ((ECHO, "move_client at=10 zone=zone1", "stop at=30"), 1, "move to current zone"),
+        ((ECHO, "move_client at=0.05 zone=zone2", "stop at=30"), 1,
+         "first move overlaps initial attach"),
+        ((ECHO, "move_client at=10 zone=zone2", "move_client at=10.05 zone=zone1",
+          "stop at=30"), 2, "overlap"),
+        ((BULK, "start_echo at=1 interval_s=0 payload_len=100", "stop at=30"), 1,
+         "bad echo parameters"),
+        ((BULK, "stop at=0.5", "start_echo at=1 interval_s=0.05 payload_len=100"), 2,
+         "echo traffic needs a later stop"),
+        ((ECHO, "start_bulk at=1 total_bytes=10 payload_len=100", "stop at=30"), 1,
+         "bad bulk parameters"),
+    ])
+    def test_rule_reported_at_its_event(self, lines, bad_index, message):
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(events_text(*lines), source="ev.ini")
+        assert str(err.value).startswith(f"ev.ini:{9 + bad_index}: ")
+        assert message in str(err.value)
+
+
+durations_us = st.integers(0, 10**12)
+
+
+@st.composite
+def run_configs(draw):
+    zones = tuple(
+        ZoneConfig(f"zone{i}", IPv4Network(f"10.{i}.0.0/24"),
+                   draw(st.integers(0, 10**7)), draw(st.sampled_from(TapFilter)))
+        for i in range(draw(st.integers(2, 4)))
+    )
+    topology = TopologyConfig(
+        zones,
+        link_bandwidth_bps=draw(st.integers(1, 10**11)),
+        link_delay_us=draw(durations_us),
+        control_delay_us=draw(durations_us),
+        vpip_pool=IPv4Network(f"172.16.0.0/{draw(st.integers(12, 32))}"),
+        seed=draw(st.integers(-2**63, 2**63)),
+        idle_timeout_us=draw(durations_us),
+        keepalive_interval_us=draw(durations_us),
+    )
+    at = draw(durations_us)
+    payload = draw(st.integers(1, 9000))
+    events = [StartEcho(at, draw(st.integers(1, 10**9)), draw(st.integers(1, 9000))),
+              StartBulkTransfer(at, draw(st.integers(payload, 10**12)), payload)]
+    current = zones[0]
+    for _ in range(draw(st.integers(1, 4))):
+        at += current.dhcp_latency + draw(st.integers(1, 10**9))
+        current = draw(st.sampled_from([z for z in zones if z is not current]))
+        events.append(MoveClient(at, current.zone_id))
+    events.append(Stop(at + draw(durations_us)))
+    tunnel = draw(st.none() | st.builds(
+        TunnelConfig, st.integers(0, 10**6), st.none() | durations_us))
+    mode = "sdn" if tunnel is None else draw(st.sampled_from(MODES))
+    return RunConfig(topology, events, mode, tunnel, draw(st.sampled_from(["out", "x/y"])))
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=run_configs())
+    def test_load_of_dump_equals_config(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.getbasetemp() / "round_trip.ini"
+        path.write_text(dump_config(cfg))
+        assert load_config(str(path), cfg.mode, cfg.output_dir) == cfg
+
 
 class TestLoadConfig:
     def write(self, tmp_path, text=GOOD):
@@ -139,3 +271,21 @@ class TestBundled:
 
     def test_unknown_bundled_name(self):
         assert bundled_scenario_path("nope") is None
+
+
+class TestReadme:
+    def scenario_section(self):
+        text = README.read_text(encoding="utf-8")
+        return text[text.index("### Scenario files"):text.index("## Library use")]
+
+    def test_ini_example_parses(self):
+        example = re.search(r"```ini\n(.*?)```", self.scenario_section(), re.S).group(1)
+        topology, events, tunnel = parse_scenario(example, source="README.md")
+        assert {z.tap_filter for z in topology.zones} == set(TapFilter)
+        assert len(events) == 3 and tunnel is not None
+
+    def test_every_key_is_documented(self):
+        section = self.scenario_section()
+        tables = [_TOPOLOGY, _ZONE, _TUNNEL] + [table for _, table in _EVENTS.values()]
+        for key in {key for table in tables for key in table}:
+            assert f"| `{key}` |" in section, key

@@ -184,6 +184,12 @@ class TestEventValidation:
         with pytest.raises(ScenarioError):
             validate_events(cfg, events)
 
+    def test_unknown_zone_is_a_scenario_error_with_index(self):
+        events = [StartEcho(0, usec(0.05), 100), MoveClient(usec(5), "z9"), Stop(usec(10))]
+        with pytest.raises(ScenarioError, match="unknown zone 'z9'") as err:
+            validate_events(two_zone_cfg(), events)
+        assert err.value.index == 1
+
 
 class TestSwitchoverBudgets:
     """The measured handoff delay must equal the closed-form budget."""

@@ -47,7 +47,7 @@ def data_from_peer(side, seq, payload=100):
 def make_side(addr="10.1.0.5"):
     sim = Simulator()
     host = StubHost(sim, addr)
-    side = TransportSide(host, conn_id=0, role="client")
+    side = TransportSide(host, conn_id=0)
     return sim, host, side
 
 
@@ -103,7 +103,7 @@ class TestSender:
         samples = Series()
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0, "client", rtt_log=samples)
+        side = TransportSide(host, 0, rtt_log=samples)
         side.submit(100)
         sim.run(until=INITIAL_RTO_US + 1)  # forces one retransmission
         side.receive_ack(ack_for(side, 1))
@@ -185,7 +185,7 @@ class TestReceiver:
         delivered = []
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0, "server",
+        side = TransportSide(host, 0,
                              on_deliver=lambda t, n: delivered.append(n))
         side.receive_data(data_from_peer(side, 0))
         side.receive_data(data_from_peer(side, 1))
@@ -197,7 +197,7 @@ class TestReceiver:
         delivered = []
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0, "server",
+        side = TransportSide(host, 0,
                              on_deliver=lambda t, n: delivered.append(n))
         side.receive_data(data_from_peer(side, 1))
         assert delivered == []
@@ -208,7 +208,7 @@ class TestReceiver:
     def test_duplicate_counted_and_reacked(self):
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0, "server")
+        side = TransportSide(host, 0)
         side.receive_data(data_from_peer(side, 0))
         side.receive_data(data_from_peer(side, 0))
         assert side.duplicates == 1
