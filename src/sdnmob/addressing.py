@@ -7,7 +7,7 @@ import random
 import re
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 _UID_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
@@ -101,11 +101,11 @@ class PoolExhausted(AddressError):
     """Every address in the pool is allocated."""
 
 
-def check_disjoint(networks: Iterable[IPv4Network]) -> Optional[tuple]:
-    """Return the first overlapping pair, or None if all disjoint."""
-    nets = list(networks)
-    for i, a in enumerate(nets):
-        for b in nets[i + 1:]:
-            if a.overlaps(b):
-                return (a, b)
+def check_disjoint(networks: Sequence[IPv4Network]) -> Optional[Tuple[int, int]]:
+    """Return the positions ``(i, j)``, ``i < j``, of the first overlapping
+    pair, or None if all are disjoint."""
+    for i, a in enumerate(networks):
+        for j in range(i + 1, len(networks)):
+            if a.overlaps(networks[j]):
+                return i, j
     return None

@@ -181,10 +181,12 @@ def _attrs(tokens: List[str], source: str, line: int) -> _Entries:
 
 
 def _make(cls, table: Dict[str, _Key], entries: _Entries, where: str,
-          source: str, line: int, **fixed):
+          source: str, line: int, zone_entries: Optional[_Entries] = None, **fixed):
     """Build ``cls`` from ``entries`` read through ``table``.
 
-    ``line`` locates a missing required key and a failed dataclass check.
+    A failed dataclass check is reported at the line of the field or zone
+    (one of ``zone_entries``) it names. ``line`` locates a missing required
+    key and a failed check that names neither.
     """
     kwargs: Dict[str, object] = dict(fixed)
     for key, (lineno, text) in entries.items():
@@ -202,6 +204,10 @@ def _make(cls, table: Dict[str, _Key], entries: _Entries, where: str,
     try:
         return cls(**kwargs)
     except ConfigurationError as exc:
+        if exc.zone is not None:
+            line = zone_entries[exc.zone][0]
+        line = next((lineno for key, (lineno, _) in entries.items()
+                     if table[key].field == exc.field), line)
         raise ConfigError(source, line, str(exc)) from None
 
 
@@ -221,14 +227,15 @@ def _parse_event(value: str, source: str, line: int) -> ScenarioEvent:
 def parse_scenario(text: str, source: str = "<config>") -> Tuple[
         TopologyConfig, List[ScenarioEvent], Optional[TunnelConfig]]:
     sections = _parse_sections(text, source)
+    zone_entries = sections["zones"]
     zones = tuple(
         _make(ZoneConfig, _ZONE, _attrs(value.split(), source, line),
               f"zone {zone_id!r}", source, line, zone_id=zone_id)
-        for zone_id, (line, value) in sections["zones"].items()
+        for zone_id, (line, value) in zone_entries.items()
     )
     topo = sections["topology"]
     topology = _make(TopologyConfig, _TOPOLOGY, topo, "[topology]", source,
-                     _last_line(topo), zones=zones)
+                     _last_line(topo), zone_entries, zones=zones)
 
     event_lines = [line for line, _ in sections["events"].values()]
     events = [_parse_event(value, source, line)

@@ -16,7 +16,7 @@ from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .addressing import AddressError, PoolExhausted, Uid, host_span, nth_free
-from .flow_engine import FlowRule, NAT_PRIORITY, dnat_rule, snat_rule
+from .flow_engine import FlowRule, dnat_rule, snat_rule
 from .units import US_PER_S
 
 # Flows installed on the core router carry this idle limit unless the
@@ -25,6 +25,10 @@ DEFAULT_IDLE_TIMEOUT_US = 30 * US_PER_S
 
 # A record is evicted after this many keepalive intervals of silence.
 LIVENESS_WINDOW_FACTOR = 2.5
+
+# The core router's port toward the provider network, where translated
+# traffic leaves.
+EXT_PORT = "ext"
 
 
 class ReportRejected(AddressError):
@@ -189,8 +193,8 @@ class MobilityController:
     """Serialized event handler for host reports, packet-ins and timer ticks.
 
     ``port_for_ip`` resolves which core-router port reaches a given client
-    address (the controller's topology knowledge); ``external_port`` is where
-    translated traffic leaves toward the provider network.
+    address (the controller's topology knowledge). Translation flows take
+    the NAT priority, and outbound ones leave on ``EXT_PORT``.
     """
 
     def __init__(
@@ -198,17 +202,13 @@ class MobilityController:
         vpip_pool: IPv4Network,
         rng: random.Random,
         port_for_ip: Callable[[IPv4Address], str],
-        external_port: str = "ext",
         idle_timeout: int = DEFAULT_IDLE_TIMEOUT_US,
-        nat_priority: int = NAT_PRIORITY,
     ) -> None:
         self.mst = MobilityServiceTable(vpip_pool)
         self.vpip_pool = vpip_pool
         self.rng = rng
         self.port_for_ip = port_for_ip
-        self.external_port = external_port
         self.idle_timeout = idle_timeout
-        self.nat_priority = nat_priority
 
     # -- report handling ---------------------------------------------------
 
@@ -248,14 +248,9 @@ class MobilityController:
             )
 
     def _install_action(self, record: MobilityRecord) -> InstallFlows:
-        snat = snat_rule(
-            record.real_ip, record.virtual_ip, self.external_port,
-            self.idle_timeout, self.nat_priority,
-        )
-        dnat = dnat_rule(
-            record.virtual_ip, record.real_ip, self.port_for_ip(record.real_ip),
-            self.idle_timeout, self.nat_priority,
-        )
+        snat = snat_rule(record.real_ip, record.virtual_ip, EXT_PORT, self.idle_timeout)
+        dnat = dnat_rule(record.virtual_ip, record.real_ip,
+                         self.port_for_ip(record.real_ip), self.idle_timeout)
         return InstallFlows(record.uid, snat, dnat)
 
     # -- liveness ----------------------------------------------------------

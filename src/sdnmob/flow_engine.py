@@ -388,16 +388,13 @@ class SdnSwitch:
         local_ranges: Sequence[IPv4Network],
         route_port: Callable[[IPv4Address], str],
         default_port: str,
-        now: int = 0,
-        buffer_capacity: int = PACKET_IN_BUFFER_CAPACITY,
         buffer_timeout: Optional[int] = None,
     ) -> None:
         self.table = FlowTable()
-        self.table.install_default(default_port, now)
+        self.table.install_default(default_port)
         self.local_ranges = tuple(local_ranges)
         self._local_spans = tuple(int_span(net) for net in self.local_ranges)
         self.route_port = route_port
-        self.buffer_capacity = buffer_capacity
         self.buffer_timeout = buffer_timeout
         self.pending: Deque[BufferedPacket] = deque()
         self.buffer_drops = 0
@@ -427,7 +424,7 @@ class SdnSwitch:
 
     def _buffer(self, pkt: Packet, now: int) -> None:
         deadline = now + self.buffer_timeout if self.buffer_timeout else None
-        if len(self.pending) >= self.buffer_capacity:
+        if len(self.pending) >= PACKET_IN_BUFFER_CAPACITY:
             self.pending.popleft()
             self.buffer_drops += 1
         self.pending.append(BufferedPacket(pkt, deadline if deadline is not None else -1))

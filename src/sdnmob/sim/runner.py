@@ -116,9 +116,10 @@ def move_client(net: Network, zone_id: str) -> None:
     The link goes down, in-flight packets toward the old attachment drop at
     their arrival instants, and address acquisition starts on the new link.
     """
-    if zone_id not in net.dhcp_pools:
+    zone = net.zones.get(zone_id)
+    if zone is None:
         raise ScenarioError(f"unknown zone: {zone_id!r}")
-    if net.client.current_zone == zone_id:
+    if net.client.zone is zone:
         raise ScenarioError(f"client already attached to {zone_id!r}")
     if net.client.in_dhcp:
         raise ScenarioError("mobility event during address acquisition")
@@ -177,9 +178,9 @@ def run_scenario(net: Network, events: List[ScenarioEvent]) -> MetricsTrace:
     The trace is a pure function of (topology config, events): identical
     inputs give bit-identical CSV artifacts.
     """
-    if net.consumed:
+    if net.ran:
         raise ScenarioError("network already ran a scenario; build a fresh one")
-    net.consumed = True
+    net.ran = True
     validate_events(net.cfg, events)
     net.traffic_stopped = False
     net.scenario_events_remaining = len(events) + 1  # + initial attach

@@ -1,8 +1,13 @@
 """Simulated testbed: one core router, one distribution router per zone,
 one mobile client, one external server.
 
-``Network`` is the routed network both modes share: hosts, zone gateways,
-links, DHCP, metrics and quiescence. Each mode adds its core to it.
+``Network`` is the routed network both modes share: hosts, zones, links,
+DHCP, metrics and quiescence. Each mode adds its core to it. Each zone's
+state lives in one ``Zone`` in ``Network.zones``. Every transmission ends
+in one fate, an integer attribute of the network: ``accepted`` by a host,
+``consumed`` at a zone gateway, or dropped at a host (``host_drops``) or on
+a link (``link_drops``). ``finalize`` folds them into the trace's counters.
+
 ``SdnNetwork`` adds the least set of SDN features: per-zone tap servers, the
 controller and a flow-table core that translates the client's zone-local
 address to its stable virtual address. ``TunnelNetwork`` is the tunneling
@@ -22,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..addressing import AddressPool, Uid, check_disjoint, int_span
 from ..controller import (
+    EXT_PORT,
     ControlAction,
     EvictClient,
     HostReport,
@@ -31,7 +37,7 @@ from ..controller import (
     DEFAULT_IDLE_TIMEOUT_US,
     LIVENESS_WINDOW_FACTOR,
 )
-from ..flow_engine import FlowMatch, PacketIn, SdnSwitch
+from ..flow_engine import NAT_PRIORITY, FlowMatch, PacketIn, SdnSwitch
 from ..packet import Packet, PacketKind
 from ..tap_server import (
     DEFAULT_UPDATE_INTERVAL_US,
@@ -44,7 +50,6 @@ from .links import Link
 from .metrics import HandoffRecord, MetricsTrace, MstTransition, Series
 from .transport import TransportSide
 
-EXT_PORT = "ext"
 EXPIRY_TICK_US = 1 * US_PER_S
 BROADCAST = IPv4Address("255.255.255.255")
 ALL_ROUTERS = IPv4Address("224.0.0.2")
@@ -63,7 +68,14 @@ Deliver = Callable[[Packet, int], None]
 
 
 class ConfigurationError(ValueError):
-    pass
+    """A rejected configuration. ``field`` names the rejected config field
+    and ``zone`` the id of the rejected zone, where the check knows one, so
+    a parser can point at the line that set it."""
+
+    def __init__(self, message: str, field: Optional[str] = None, zone: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
+        self.zone = zone
 
 
 class Mode(enum.Enum):
@@ -89,15 +101,21 @@ class TopologyConfig:
         if len(set(ids)) != len(ids):
             raise ConfigurationError(f"duplicate zone ids: {ids}")
         if self.link_bandwidth_bps <= 0:
-            raise ConfigurationError("link bandwidth must be positive")
-        if self.link_delay_us < 0 or self.control_delay_us < 0:
-            raise ConfigurationError("delays must be non-negative")
-        if any(z.dhcp_latency < 0 for z in self.zones):
-            raise ConfigurationError("dhcp latency must be non-negative")
-        overlap = check_disjoint([z.dhcp_range for z in self.zones] + [self.vpip_pool])
+            raise ConfigurationError("link bandwidth must be positive", "link_bandwidth_bps")
+        for name in ("link_delay_us", "control_delay_us"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError("delays must be non-negative", name)
+        for z in self.zones:
+            if z.dhcp_latency < 0:
+                raise ConfigurationError("dhcp latency must be non-negative", zone=z.zone_id)
+        ranges = [z.dhcp_range for z in self.zones] + [self.vpip_pool]
+        overlap = check_disjoint(ranges)
         if overlap is not None:
+            i, j = overlap
+            # Blame the later of two zones, or the zone inside the pool.
             raise ConfigurationError(
-                f"address ranges overlap: {overlap[0]} and {overlap[1]}"
+                f"address ranges overlap: {ranges[i]} and {ranges[j]}",
+                zone=self.zones[j if j < len(self.zones) else i].zone_id,
             )
 
     def zone(self, zone_id: str) -> ZoneConfig:
@@ -132,7 +150,7 @@ class ClientHost:
         self.uid = uid
         self.addr: Optional[IPv4Address] = None
         self.addr_int = -1  # int(addr), or -1 while unaddressed
-        self.current_zone: Optional[str] = None
+        self.zone: Optional[Zone] = None
         self.conns: Dict[int, TransportSide] = {}
         self.in_dhcp = False
 
@@ -145,19 +163,18 @@ class ClientHost:
 
     def transmit(self, pkt: Packet) -> None:
         self.net.transmissions += 1
-        link = self.net.access_up.get(self.current_zone)
-        if link is None:
-            self.net.count("link_drops")
+        if self.zone is None:
+            self.net.link_drops += 1
             return
-        link.send(pkt)
+        self.zone.access_up.send(pkt)
 
     def handle(self, pkt: Packet, now: int) -> None:
         if pkt.dst_int != self.addr_int:
-            self.net.count("host_drops")
+            self.net.host_drops += 1
             return
         side = self.conns.get(pkt.conn_id)
         if side is None:
-            self.net.count("host_drops")
+            self.net.host_drops += 1
             return
         self.net.accepted += 1
         kind = pkt.kind
@@ -196,7 +213,7 @@ class ServerHost:
 
     def handle(self, pkt: Packet, now: int) -> None:
         if pkt.dst_int != self.addr_int:
-            self.net.count("host_drops")
+            self.net.host_drops += 1
             return
         self.net.accepted += 1
         kind = pkt.kind
@@ -232,24 +249,38 @@ class ServerHost:
         return conn
 
 
-class DistRouter:
-    """Zone gateway: plain routing between its access segment and the core.
-    DHCP and router-solicitation traffic terminates here."""
+class Zone:
+    """One zone of the routed network: its config, DHCP pool and address
+    range, the core's port toward it, its four links and the gateway that
+    routes between them. DHCP and router-solicitation traffic terminates at
+    the gateway. In SDN mode the zone also has a tap on its uplink."""
 
-    def __init__(self, net: "Network", zone: ZoneConfig, span: range):
+    def __init__(self, net: "Network", cfg: ZoneConfig, trunk_overhead: int):
+        zid = cfg.zone_id
         self.net = net
-        self.zone = zone
-        self._span = span  # the zone's range as integers
-        # The zone's access-down and trunk-up links, set by Network._build_links.
-        self.access_down: Link
-        self.trunk_up: Link
+        self.cfg = cfg
+        # Leases persist for the run, so revisiting a zone yields a different
+        # address; translation keeps the session alive regardless.
+        self.pool = AddressPool(cfg.dhcp_range)
+        self.span = int_span(cfg.dhcp_range)  # the range as integers
+        self.port = f"zone:{zid}"
+        self.tap: Optional[TapServer] = None
+        self.access_up = net._link(f"access-up:{zid}", net._uplink(self))
+        self.access_down = net._link(f"access-down:{zid}", net.client.handle)
+        self.trunk_up = net._link(f"trunk-up:{zid}", net._core_handle, trunk_overhead)
+        self.trunk_down = net._link(f"trunk-down:{zid}", self.handle_from_core, trunk_overhead)
+        self.set_attached(False)  # the client starts detached everywhere
+
+    def set_attached(self, attached: bool) -> None:
+        self.access_up.set_up(attached)
+        self.access_down.set_up(attached)
 
     def handle_from_access(self, pkt: Packet, now: int) -> None:
         kind = pkt.kind
         if kind is _DHCP_DISCOVER or kind is _ROUTER_SOLICITATION:
-            self.net.count("consumed")
+            self.net.consumed += 1
             return
-        if pkt.dst_int in self._span:
+        if pkt.dst_int in self.span:
             self.access_down.send(pkt)
         else:
             self.trunk_up.send(pkt)
@@ -261,7 +292,7 @@ class DistRouter:
 
 
 class Network:
-    """The routed network both modes share: hosts, zone gateways, links,
+    """The routed network both modes share: hosts, zones, links,
     DHCP, metrics and quiescence. A mode subclass supplies the core
     (``_core_handle``), the lease draw (``_lease``) and the core's buffer
     counts (``_buffer_counts``). Build one network per run."""
@@ -282,10 +313,12 @@ class Network:
         self.flow_events: List[Tuple[int, str]] = []
         self.observed_sources: set = set()
         self.resets = 0
-        self.counters: Dict[str, int] = {}
-        # The two per-packet counters, folded into ``counters`` by finalize.
+        # Packet fates, folded into the trace's counters by finalize.
         self.transmissions = 0
         self.accepted = 0
+        self.consumed = 0
+        self.host_drops = 0
+        self.link_drops = 0
         self.last_delivery_us = 0
 
         # liveness accounting for quiescence detection (packets in flight
@@ -295,67 +328,37 @@ class Network:
         self.scenario_events_remaining = 0
         self.echo_active = False
         self.traffic_stopped = False
-        self.consumed = False
+        self.ran = False  # set by the first run_scenario
         self.echo_conn_ids: set = set()
         self._next_conn_id = 0
 
-        self.dhcp_pools: Dict[str, AddressPool] = {
-            z.zone_id: AddressPool(z.dhcp_range) for z in cfg.zones
-        }
-
         self.server = ServerHost(self, SERVER_UID, SERVER_ADDR)
         self.client = ClientHost(self, CLIENT_UID)
-        spans = [int_span(z.dhcp_range) for z in cfg.zones]
-        self.dists = {z.zone_id: DistRouter(self, z, span)
-                      for z, span in zip(cfg.zones, spans)}
-        self._zone_ports = [(span, f"zone:{z.zone_id}")
-                            for z, span in zip(cfg.zones, spans)]
+        self.zones: Dict[str, Zone] = {
+            z.zone_id: Zone(self, z, trunk_overhead_bytes) for z in cfg.zones
+        }
+        self.ext_out = self._link("ext-out", self.server.handle)
+        self.ext_in = self._link("ext-in", self._core_handle)
+        self.links: List[Link] = [
+            link for z in self.zones.values()
+            for link in (z.access_up, z.access_down, z.trunk_up, z.trunk_down)
+        ] + [self.ext_out, self.ext_in]
+        # Core router port name -> the link leaving the core on that port.
+        self._port_links: Dict[str, Link] = {
+            EXT_PORT: self.ext_out, **{z.port: z.trunk_down for z in self.zones.values()}
+        }
         self._port_cache: Dict[int, str] = {}
-        self._build_links(trunk_overhead_bytes)
 
     # -- wiring --------------------------------------------------------------
 
-    def _build_links(self, trunk_overhead: int) -> None:
+    def _link(self, name: str, deliver: Deliver, overhead: int = 0) -> Link:
         cfg = self.cfg
+        return Link(self.sim, name, cfg.link_bandwidth_bps, cfg.link_delay_us,
+                    deliver=deliver, on_drop=self._on_drop, overhead_bytes=overhead)
 
-        def link(name: str, deliver: Deliver, overhead: int = 0) -> Link:
-            return Link(self.sim, name, cfg.link_bandwidth_bps, cfg.link_delay_us,
-                        deliver=deliver, on_drop=self._on_drop,
-                        overhead_bytes=overhead)
-
-        self.access_up: Dict[str, Link] = {}
-        self.access_down: Dict[str, Link] = {}
-        self.trunk_up: Dict[str, Link] = {}
-        self.trunk_down: Dict[str, Link] = {}
-        for z in cfg.zones:
-            zid = z.zone_id
-            dist = self.dists[zid]
-            up_deliver, down_deliver = self._access_delivers(zid)
-            self.access_up[zid] = link(f"access-up:{zid}", up_deliver)
-            self.access_down[zid] = dist.access_down = link(
-                f"access-down:{zid}", down_deliver)
-            self.trunk_up[zid] = dist.trunk_up = link(
-                f"trunk-up:{zid}", self._core_handle, trunk_overhead)
-            self.trunk_down[zid] = link(
-                f"trunk-down:{zid}", dist.handle_from_core, trunk_overhead)
-            # the client starts detached everywhere
-            self.access_up[zid].set_up(False)
-            self.access_down[zid].set_up(False)
-        self.ext_out = link("ext-out", self.server.handle)
-        self.ext_in = link("ext-in", self._core_handle)
-        self.links: List[Link] = [
-            *self.access_up.values(), *self.access_down.values(),
-            *self.trunk_up.values(), *self.trunk_down.values(),
-            self.ext_out, self.ext_in,
-        ]
-        # Core router port name -> the link leaving the core on that port.
-        self._port_links: Dict[str, Link] = {EXT_PORT: self.ext_out}
-        for zid, link in self.trunk_down.items():
-            self._port_links[f"zone:{zid}"] = link
-
-    def _access_delivers(self, zid: str) -> Tuple[Deliver, Deliver]:
-        """Where the zone's access-up and access-down links deliver."""
-        return self.dists[zid].handle_from_access, self.client.handle
+    def _uplink(self, zone: Zone) -> Deliver:
+        """Where ``zone``'s access-up link delivers."""
+        return zone.handle_from_access
 
     def _port_for_ip(self, addr: IPv4Address) -> str:
         """The core port that reaches ``addr``: its zone's, else external."""
@@ -367,20 +370,17 @@ class Network:
         port = self._port_cache.get(addr)
         if port is None:
             port = EXT_PORT
-            for span, zone_port in self._zone_ports:
-                if addr in span:
-                    port = zone_port
+            for zone in self.zones.values():
+                if addr in zone.span:
+                    port = zone.port
                     break
             self._port_cache[addr] = port
         return port
 
-    # -- counters ----------------------------------------------------------------
-
-    def count(self, key: str, n: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + n
+    # -- fates ---------------------------------------------------------------------
 
     def _on_drop(self, pkt: Packet, reason: str) -> None:
-        self.count("link_drops")
+        self.link_drops += 1
 
     # Simulated time never decreases, so the latest delivery is the last one.
     # The columns are appended directly: no Series.append frame per segment.
@@ -416,41 +416,34 @@ class Network:
 
     # -- client attachment / mobility ---------------------------------------------
 
-    def dhcp_assign(self, zone_id: str) -> IPv4Address:
-        """Draw a fresh lease from the zone's range (seed-deterministic).
-
-        Leases persist for the run, so revisiting a zone yields a different
-        address; translation keeps the session alive regardless.
-        """
-        return self.dhcp_pools[zone_id].allocate(self.rng)
-
-    def _lease(self, zone_id: str) -> IPv4Address:
-        """The address the client takes when DHCP completes in the zone."""
-        return self.dhcp_assign(zone_id)
+    def _lease(self, zone: Zone) -> IPv4Address:
+        """The address the client takes when DHCP completes in the zone: a
+        fresh draw from its pool (seed-deterministic)."""
+        return zone.pool.allocate(self.rng)
 
     def attach_client(self, zone_id: str) -> None:
-        self.cfg.zone(zone_id)  # raises on unknown zone
-        self.client.current_zone = zone_id
-        self.access_up[zone_id].set_up(True)
-        self.access_down[zone_id].set_up(True)
+        zone = self.zones.get(zone_id)
+        if zone is None:
+            raise ConfigurationError(f"unknown zone: {zone_id!r}")
+        self.client.zone = zone
+        zone.set_attached(True)
         self.dhcp_pending += 1
         self.client.in_dhcp = True
-        self._start_dhcp(zone_id)
+        self._start_dhcp(zone)
 
-    def _start_dhcp(self, zone_id: str) -> None:
-        zone = self.cfg.zone(zone_id)
+    def _start_dhcp(self, zone: Zone) -> None:
         discover = Packet(
             src_ip=IPv4Address("0.0.0.0"), dst_ip=BROADCAST,
             src_mac=self.client.uid, payload_len=0, seq=0,
             sent_at=self.sim.now, kind=PacketKind.DHCP_DISCOVER,
         )
         self.client.transmit(discover)
-        self.sim.schedule(zone.dhcp_latency, self._complete_dhcp, zone_id)
+        self.sim.schedule(zone.cfg.dhcp_latency, self._complete_dhcp, zone)
 
-    def _complete_dhcp(self, zone_id: str) -> None:
+    def _complete_dhcp(self, zone: Zone) -> None:
         self.dhcp_pending -= 1
         self.client.in_dhcp = False
-        self.client.set_addr(self._lease(zone_id))
+        self.client.set_addr(self._lease(zone))
         solicit = Packet(
             src_ip=self.client.addr, dst_ip=ALL_ROUTERS,
             src_mac=self.client.uid, payload_len=0, seq=0,
@@ -461,12 +454,10 @@ class Network:
             side.flush_all()
 
     def detach_client(self) -> None:
-        zone_id = self.client.current_zone
-        if zone_id is not None:
-            self.access_up[zone_id].set_up(False)
-            self.access_down[zone_id].set_up(False)
+        if self.client.zone is not None:
+            self.client.zone.set_attached(False)
         self.client.set_addr(None)
-        self.client.current_zone = None
+        self.client.zone = None
 
     # -- traffic -------------------------------------------------------------------
 
@@ -508,16 +499,14 @@ class Network:
             server_submitted = server_conn.side.submitted if server_conn else 0
             losses += client_side.submitted - server_delivered
             losses += server_submitted - client_side.delivered_segments
-        retransmissions = sum(
+        fates = {"transmissions": self.transmissions, "accepted": self.accepted,
+                 "consumed": self.consumed, "host_drops": self.host_drops,
+                 "link_drops": self.link_drops}
+        counters = {key: n for key, n in fates.items() if n}
+        counters["retransmissions"] = sum(
             s.retransmissions for s in self.client.conns.values()
         ) + sum(c.side.retransmissions for c in self.server.conns.values())
-        self.count("retransmissions", retransmissions)
-        for key, n in (("transmissions", self.transmissions),
-                       ("accepted", self.accepted)):
-            if n:
-                self.count(key, n)
-        for key, n in self._buffer_counts().items():
-            self.count(key, n)
+        counters.update(self._buffer_counts())
         trace = MetricsTrace(
             mode=self.mode.value,
             seed=self.cfg.seed,
@@ -530,7 +519,7 @@ class Network:
             losses=losses,
             resets=self.resets,
             server_observed_sources=set(self.observed_sources),
-            counters=dict(self.counters),
+            counters=counters,
             flow_events=list(self.flow_events),
             mst_transitions=list(self.mst_transitions),
             end_of_traffic_us=self.last_delivery_us,
@@ -546,18 +535,12 @@ class SdnNetwork(Network):
     mode = Mode.SDN
 
     def __init__(self, cfg: TopologyConfig):
-        # The taps exist before the access links that feed them.
-        self.taps = {
-            z.zone_id: TapServer(z, update_interval=cfg.keepalive_interval_us)
-            for z in cfg.zones
-        }
         super().__init__(cfg)
         self._pending_mst_capture: Optional[Tuple[int, Dict[str, tuple]]] = None
         self.controller = MobilityController(
             cfg.vpip_pool,
             self.rng,
             port_for_ip=self._port_for_ip,
-            external_port=EXT_PORT,
             idle_timeout=cfg.idle_timeout_us,
         )
         self.switch = SdnSwitch(
@@ -567,25 +550,24 @@ class SdnNetwork(Network):
             buffer_timeout=1 * US_PER_S,
         )
         self.sim.schedule_at(EXPIRY_TICK_US, self._expiry_tick)
-        for zid in self.taps:
-            self.sim.schedule_at(cfg.keepalive_interval_us, self._keepalive_tick, zid)
+        for zone in self.zones.values():
+            self.sim.schedule_at(cfg.keepalive_interval_us, self._keepalive_tick, zone.tap)
 
-    def _access_delivers(self, zid: str) -> Tuple[Deliver, Deliver]:
-        # The tap watches the uplink only: what goes down to the client comes
-        # from outside the zone and could only count as a spoof.
-        tap, dist = self.taps[zid], self.dists[zid]
+    def _uplink(self, zone: Zone) -> Deliver:
+        # Each zone gets its tap here, before the link that feeds it. The tap
+        # watches the uplink only: what goes down to the client comes from
+        # outside the zone and could only count as a spoof.
+        tap = zone.tap = TapServer(zone.cfg, update_interval=self.cfg.keepalive_interval_us)
+        gateway = zone.handle_from_access
 
         def up(pkt: Packet, now: int) -> None:
-            self._tap_observe(tap, pkt, now)
-            dist.handle_from_access(pkt, now)
-        return up, self.client.handle
+            report = tap.observe_packet(pkt, now)
+            if report is not None:
+                self._send_report(report)
+            gateway(pkt, now)
+        return up
 
     # -- tap / control plane ----------------------------------------------------
-
-    def _tap_observe(self, tap: TapServer, pkt: Packet, now: int) -> None:
-        report = tap.observe_packet(pkt, now)
-        if report is not None:
-            self._send_report(report)
 
     def _send_report(self, report: HostReport) -> None:
         # The control channel carries the ASCII wire form; parsing on
@@ -631,10 +613,8 @@ class SdnNetwork(Network):
         if record is None:
             return
         now = self.sim.now
-        self.switch.table.touch(FlowMatch(src_ip=record.real_ip),
-                                self.controller.nat_priority, now)
-        self.switch.table.touch(FlowMatch(dst_ip=record.virtual_ip),
-                                self.controller.nat_priority, now)
+        self.switch.table.touch(FlowMatch(src_ip=record.real_ip), NAT_PRIORITY, now)
+        self.switch.table.touch(FlowMatch(dst_ip=record.virtual_ip), NAT_PRIORITY, now)
 
     # -- core router -------------------------------------------------------------
 
@@ -670,12 +650,11 @@ class SdnNetwork(Network):
         if not self.finished():
             self.sim.schedule(EXPIRY_TICK_US, self._expiry_tick)
 
-    def _keepalive_tick(self, zone_id: str) -> None:
-        for report in self.taps[zone_id].tick(self.sim.now):
+    def _keepalive_tick(self, tap: TapServer) -> None:
+        for report in tap.tick(self.sim.now):
             self._send_report(report)
         if not self.finished():
-            self.sim.schedule(self.cfg.keepalive_interval_us,
-                              self._keepalive_tick, zone_id)
+            self.sim.schedule(self.cfg.keepalive_interval_us, self._keepalive_tick, tap)
 
     def _buffer_counts(self) -> Dict[str, int]:
         return {"buffer_residue": len(self.switch.pending),
@@ -695,28 +674,28 @@ class TunnelNetwork(Network):
         self.tunnel = tunnel
         self.home_addr: Optional[IPv4Address] = None
         self._home_int = -1  # int(home_addr), or -1 before the first lease
-        self.bound_zone: Optional[str] = None
+        self.bound_zone: Optional[Zone] = None
 
     def _core_handle(self, pkt: Packet, now: int) -> None:
         # A home address exists only once a binding does.
         dst = pkt.dst_int
         if dst == self._home_int:
-            self.trunk_down[self.bound_zone].send(pkt)
+            self.bound_zone.trunk_down.send(pkt)
         else:
             self._port_links[self._port_for_int(dst)].send(pkt)
 
-    def _start_dhcp(self, zone_id: str) -> None:
+    def _start_dhcp(self, zone: Zone) -> None:
         # Binding registration precedes address (re)confirmation.
         bud = self.tunnel.resolved_binding_delay(self.cfg.control_delay_us)
-        self._control_send(bud, self._bind, zone_id)
-        self.sim.schedule(bud, super()._start_dhcp, zone_id)
+        self._control_send(bud, self._bind, zone)
+        self.sim.schedule(bud, super()._start_dhcp, zone)
 
-    def _bind(self, zone_id: str) -> None:
-        self.bound_zone = zone_id
+    def _bind(self, zone: Zone) -> None:
+        self.bound_zone = zone
 
-    def _lease(self, zone_id: str) -> IPv4Address:
+    def _lease(self, zone: Zone) -> IPv4Address:
         if self.home_addr is None:
-            self.home_addr = self.dhcp_assign(zone_id)
+            self.home_addr = super()._lease(zone)
             self._home_int = int(self.home_addr)
         return self.home_addr
 

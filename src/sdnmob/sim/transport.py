@@ -66,13 +66,11 @@ class TransportSide:
         conn_id: int,
         rtt_log: Optional[Series] = None,
         on_deliver: Optional[Callable[[int, int], None]] = None,
-        window: int = SEND_WINDOW_SEGMENTS,
     ) -> None:
         self.host = host
         self.conn_id = conn_id
         self.rtt_log = Series() if rtt_log is None else rtt_log
         self.on_deliver = on_deliver
-        self.window = window
         # sender
         self.next_seq = 0
         self.pending: Deque[int] = deque()
@@ -112,7 +110,7 @@ class TransportSide:
     def pump(self) -> None:
         host = self.host
         unacked, pending = self.unacked, self.pending
-        while len(unacked) < self.window and pending and host.addr is not None:
+        while len(unacked) < SEND_WINDOW_SEGMENTS and pending and host.addr is not None:
             payload_len = pending.popleft()
             seq = self.next_seq
             self.next_seq += 1

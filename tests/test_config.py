@@ -111,6 +111,30 @@ class TestParse:
             parse_scenario(bad, source="t.ini")
 
 
+class TestTopologyCheckLocation:
+    """Each TopologyConfig check is reported at the line of the key or the
+    zone it rejects, not at the last [topology] line."""
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("link_bandwidth_bps = 10000000", "link_bandwidth_bps = 0",
+         "link bandwidth must be positive"),
+        ("link_delay_s = 0.001", "link_delay_s = -1", "delays must be non-negative"),
+        ("control_delay_s = 0.005", "control_delay_s = -1", "delays must be non-negative"),
+        ("dhcp_latency_s=0.1", "dhcp_latency_s=-1", "dhcp latency must be non-negative"),
+        ("range=10.2.0.0/24", "range=198.51.100.0/25",
+         "address ranges overlap: 198.51.100.0/25 and 198.51.100.0/24"),
+        ("range=10.2.0.0/24", "range=10.1.0.128/25",
+         "address ranges overlap: 10.1.0.0/24 and 10.1.0.128/25"),
+    ], ids=["bandwidth", "link_delay", "control_delay", "dhcp_latency",
+            "zone_in_pool", "zone_in_zone"])
+    def test_reported_at_the_rejected_line(self, old, new, message):
+        bad = GOOD.replace(old, new)
+        line = next(i for i, text in enumerate(bad.splitlines(), start=1) if new in text)
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(bad, source="f.ini")
+        assert str(err.value) == f"f.ini:{line}: {message}"
+
+
 # (line of GOOD to replace, replacement with {} for the value)
 DURATION_KEYS = {
     "link_delay_s": ("link_delay_s = 0.001", "link_delay_s = {}"),

@@ -28,7 +28,7 @@ from sdnmob.sim import (
 from sdnmob.sim.metrics import ComparisonError
 from sdnmob.sim.runner import move_client, validate_events
 from sdnmob.sim.runner import StartBulkTransfer
-from sdnmob.sim.topology import SERVER_ADDR, SERVER_UID
+from sdnmob.sim.topology import SERVER_ADDR, SERVER_UID, ConfigurationError
 from sdnmob.tap_server import ZoneConfig
 from sdnmob.units import US_PER_S, usec
 
@@ -39,6 +39,17 @@ def two_zone_cfg(**kwargs):
         ZoneConfig("z2", IPv4Network("10.2.0.0/24"), usec(0.1)),
     )
     return TopologyConfig(zones=zones, **kwargs)
+
+
+# Every fate a transmission ends in. A trace's counters hold these and the
+# transmissions and retransmissions counts, nothing else.
+FATES = ("accepted", "consumed", "link_drops", "host_drops",
+         "buffer_drops", "buffer_residue")
+
+
+def assert_every_transmission_accounted(counters):
+    assert set(counters) <= {*FATES, "transmissions", "retransmissions"}
+    assert counters["transmissions"] == sum(counters.get(k, 0) for k in FATES)
 
 
 def echo_events(move_at=10.0, stop_at=20.0):
@@ -52,8 +63,8 @@ def echo_events(move_at=10.0, stop_at=20.0):
 class TestBuildTopology:
     def test_two_zones_build_expected_nodes(self):
         net = build_topology(two_zone_cfg())
-        assert len(net.dists) == 2
-        assert len(net.taps) == 2
+        assert len(net.zones) == 2
+        assert all(zone.tap is not None for zone in net.zones.values())
         assert net.switch is not None and net.controller is not None
         assert net.server.addr is not None
         assert net.switch.table.default_rule is not None
@@ -61,7 +72,7 @@ class TestBuildTopology:
     def test_single_zone_minimal(self):
         cfg = TopologyConfig(zones=(ZoneConfig("only", IPv4Network("10.1.0.0/24")),))
         net = build_topology(cfg)
-        assert list(net.dists) == ["only"]
+        assert list(net.zones) == ["only"]
 
     def test_zone_overlapping_virtual_pool_rejected(self):
         zones = (ZoneConfig("z1", IPv4Network("198.51.100.0/25")),)
@@ -106,7 +117,7 @@ class TestIdle:
         net.sim.run(until=usec(1))
         assert second_hop == [(0, 1, False)]
         assert net.is_idle()
-        assert net.counters["host_drops"] == 1
+        assert net.host_drops == 1
 
 
 class TestMoveAndDhcp:
@@ -116,6 +127,12 @@ class TestMoveAndDhcp:
         net.sim.run(until=usec(1))
         with pytest.raises(ScenarioError):
             move_client(net, "z9")
+
+    def test_attach_to_unknown_zone_rejected(self):
+        net = build_topology(two_zone_cfg())
+        with pytest.raises(ConfigurationError) as err:
+            net.attach_client("nope")
+        assert str(err.value) == "unknown zone: 'nope'"
 
     def test_move_to_current_zone_rejected(self):
         net = build_topology(two_zone_cfg())
@@ -129,7 +146,7 @@ class TestMoveAndDhcp:
         trace = run_scenario(net, echo_events())
         assert trace.losses == 0
         # tap buffers prove the new source range was used after the move
-        z2_entries = list(net.taps["z2"].buffer)
+        z2_entries = list(net.zones["z2"].tap.buffer)
         assert z2_entries and all(IPv4Address(ip) in IPv4Network("10.2.0.0/24")
                                   for ip in z2_entries)
 
@@ -137,11 +154,12 @@ class TestMoveAndDhcp:
         zone = ZoneConfig("tiny", IPv4Network("192.0.2.0/30"))
         cfg = TopologyConfig(zones=(zone,))
         net = build_topology(cfg)
-        first = net.dhcp_assign("tiny")
-        second = net.dhcp_assign("tiny")
+        pool = net.zones["tiny"].pool
+        first = pool.allocate(net.rng)
+        second = pool.allocate(net.rng)
         assert {str(first), str(second)} == {"192.0.2.1", "192.0.2.2"}
         with pytest.raises(PoolExhausted):
-            net.dhcp_assign("tiny")
+            pool.allocate(net.rng)
 
     def test_static_client_server_sees_only_virtual_address(self):
         net = build_topology(two_zone_cfg())
@@ -155,7 +173,7 @@ class TestMoveAndDhcp:
         cfg = load_config(bundled_scenario_path("ping_pong"), mode="sdn")
         net = build_topology(cfg.topology)
         trace = run_scenario(net, cfg.events)
-        leases = net.dhcp_pools["zone1"].used
+        leases = net.zones["zone1"].pool.used
         assert len(leases) == 2  # initial attach and the return
         assert trace.losses == 0 and trace.resets == 0
         assert len(trace.server_observed_sources) == 1
@@ -337,14 +355,7 @@ class TestClosedFormGoldens:
 class TestSimInvariants:
     def test_conservation_every_transmission_accounted(self, traces):
         for trace in traces.values():
-            c = trace.counters
-            terminated = (
-                c.get("accepted", 0) + c.get("consumed", 0)
-                + c.get("link_drops", 0) + c.get("host_drops", 0)
-                + c.get("unrouted_drops", 0) + c.get("buffer_drops", 0)
-                + c.get("buffer_residue", 0)
-            )
-            assert c["transmissions"] == terminated
+            assert_every_transmission_accounted(trace.counters)
 
     def test_causality_rtt_floor(self, traces, bundled_configs):
         for (scenario, _), trace in traces.items():
@@ -411,7 +422,7 @@ class TestFlowRefresh:
         """A keepalive report for an unchanged binding must touch the
         installed translation rules instead of reinstalling them."""
         from sdnmob.controller import HostReport, RefreshFlows
-        from sdnmob.flow_engine import FlowMatch
+        from sdnmob.flow_engine import NAT_PRIORITY, FlowMatch
         from ipaddress import IPv4Address
 
         net = build_topology(two_zone_cfg())
@@ -422,7 +433,7 @@ class TestFlowRefresh:
             net._apply_install(action)
         record = net.controller.lookup(uid)
         snat = net.switch.table.find(
-            FlowMatch(src_ip=record.real_ip), net.controller.nat_priority)
+            FlowMatch(src_ip=record.real_ip), NAT_PRIORITY)
         assert snat is not None and snat.last_hit == 0
         refresh = net.controller.handle_host_report(
             HostReport(uid, IPv4Address("10.1.0.5")), now=usec(10))
@@ -431,7 +442,7 @@ class TestFlowRefresh:
         net._apply_refresh(refresh[0])
         assert snat.last_hit == usec(10)
         dnat = net.switch.table.find(
-            FlowMatch(dst_ip=record.virtual_ip), net.controller.nat_priority)
+            FlowMatch(dst_ip=record.virtual_ip), NAT_PRIORITY)
         assert dnat.last_hit == usec(10)
 
 
@@ -475,11 +486,7 @@ class TestRandomScenarios:
         for handoff, move in zip(trace.handoffs, moves):
             budget = sdn_switchover_budget_us(cfg, payload, move.zone_id)
             assert handoff.switchover_delay_us == budget
-        c = trace.counters
-        terminated = sum(c.get(k, 0) for k in (
-            "accepted", "consumed", "link_drops", "host_drops",
-            "unrouted_drops", "buffer_drops", "buffer_residue"))
-        assert c["transmissions"] == terminated
+        assert_every_transmission_accounted(trace.counters)
 
 
 class TestFlowLifecycleEndToEnd:

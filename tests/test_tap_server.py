@@ -158,7 +158,8 @@ class TestBundledTaps:
     def test_no_spoof_counted_in_bundled_sdn_runs(self, scenario, bundled_runs):
         net, trace = bundled_runs[(scenario, "sdn")]
         assert trace.losses == 0
-        for zone_id, tap in net.taps.items():
+        for zone_id, zone in net.zones.items():
+            tap = zone.tap
             # Each zone was visited: its tap saw the client's DHCP discover
             # and learned a binding.
             assert tap.ignored_unaddressed > 0, zone_id

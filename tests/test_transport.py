@@ -6,7 +6,8 @@ from sdnmob.addressing import Uid
 from sdnmob.packet import Packet, PacketKind
 from sdnmob.sim.events import Simulator
 from sdnmob.sim.metrics import Series
-from sdnmob.sim.transport import INITIAL_RTO_US, TransportSide
+from sdnmob.sim import transport
+from sdnmob.sim.transport import INITIAL_RTO_US, SEND_WINDOW_SEGMENTS, TransportSide
 
 UID = Uid("aa:bb:cc:00:00:01")
 PEER = IPv4Address("203.0.113.10")
@@ -59,9 +60,9 @@ class TestSender:
         assert [p.seq for p in host.sent] == [0, 1, 2, 3, 4]
         assert all(p.kind is PacketKind.DATA for p in host.sent)
 
-    def test_window_caps_outstanding_segments(self):
+    def test_window_caps_outstanding_segments(self, monkeypatch):
+        monkeypatch.setattr(transport, "SEND_WINDOW_SEGMENTS", 4)
         _, host, side = make_side()
-        side.window = 4
         side.submit_many(100, 10)
         assert len(host.sent) == 4
         side.receive_ack(ack_for(side, 2))
@@ -129,7 +130,7 @@ class TestTimer:
 
     def test_steady_ack_stream_schedules_few_wakeups(self):
         sim, host, side = make_side()
-        assert side.window == 32
+        assert SEND_WINDOW_SEGMENTS == 32
         acks = 512
         side.submit_many(100, acks)
         for k in range(1, acks + 1):  # one ACK a millisecond, one segment each
