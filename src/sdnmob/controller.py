@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from .addressing import AddressError, PoolExhausted, Uid, host_span, nth_free
+from .addressing import AddressError, PoolExhausted, Uid, host_span, int_span, nth_free
 from .flow_engine import FlowRule, dnat_rule, snat_rule
 from .units import US_PER_S
 
@@ -29,6 +29,9 @@ LIVENESS_WINDOW_FACTOR = 2.5
 # The core router's port toward the provider network, where translated
 # traffic leaves.
 EXT_PORT = "ext"
+
+# 255.255.255.255, the limited broadcast address, as an integer.
+_LIMITED_BROADCAST = 0xFFFF_FFFF
 
 
 class ReportRejected(AddressError):
@@ -85,16 +88,18 @@ class MobilityServiceTable:
     IP -> uid index.
 
     The virtual IPs are kept as their sorted offsets from the first host of
-    ``vpip_pool`` (``vpip_offsets``), the form ``allocate_vpip`` walks.
-    Records change only through ``add``, ``move`` and ``remove``, which keep
-    the offsets and the index in step with them.
+    ``vpip_pool`` (``vpip_offsets``), the form ``allocate_vpip`` searches.
+    The index ``uid_by_real_ip`` is keyed by the real address as an integer,
+    so a lookup hashes an int, not an ``IPv4Address``. Records change only
+    through ``add``, ``move`` and ``remove``, which keep the offsets and the
+    index in step with them.
     """
 
     def __init__(self, vpip_pool: IPv4Network) -> None:
         self.records: Dict[Uid, MobilityRecord] = {}
         self._first, self._count = host_span(vpip_pool)
         self.vpip_offsets: List[int] = []
-        self.uid_by_real_ip: Dict[IPv4Address, Uid] = {}
+        self.uid_by_real_ip: Dict[int, Uid] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -104,20 +109,20 @@ class MobilityServiceTable:
 
     def holder_of(self, real_ip: IPv4Address) -> Optional[MobilityRecord]:
         """The record currently holding ``real_ip``, if any."""
-        uid = self.uid_by_real_ip.get(real_ip)
+        uid = self.uid_by_real_ip.get(int(real_ip))
         return None if uid is None else self.records[uid]
 
     def add(self, record: MobilityRecord) -> None:
         """Insert a record whose virtual IP is a free host of the pool."""
         self.records[record.uid] = record
         bisect.insort(self.vpip_offsets, int(record.virtual_ip) - self._first)
-        self.uid_by_real_ip[record.real_ip] = record.uid
+        self.uid_by_real_ip[int(record.real_ip)] = record.uid
 
     def move(self, record: MobilityRecord, real_ip: IPv4Address) -> None:
         """Give ``record`` a new real address."""
         self._unindex(record)
         record.real_ip = real_ip
-        self.uid_by_real_ip[real_ip] = record.uid
+        self.uid_by_real_ip[int(real_ip)] = record.uid
 
     def remove(self, uid: Uid) -> Optional[MobilityRecord]:
         record = self.records.pop(uid, None)
@@ -128,8 +133,9 @@ class MobilityServiceTable:
         return record
 
     def _unindex(self, record: MobilityRecord) -> None:
-        if self.uid_by_real_ip.get(record.real_ip) == record.uid:
-            del self.uid_by_real_ip[record.real_ip]
+        real_ip = int(record.real_ip)
+        if self.uid_by_real_ip.get(real_ip) == record.uid:
+            del self.uid_by_real_ip[real_ip]
 
     def snapshot(self) -> Dict[str, tuple]:
         """Value snapshot for before/after comparisons in tests and traces."""
@@ -147,7 +153,7 @@ class MobilityServiceTable:
         rips = [r.real_ip for r in self.records.values()]
         assert len(set(rips)) == len(rips), "real->virtual map must be a bijection"
         assert self.uid_by_real_ip == {
-            r.real_ip: uid for uid, r in self.records.items()
+            int(r.real_ip): uid for uid, r in self.records.items()
         }, "real IP index out of sync with records"
 
 
@@ -160,8 +166,9 @@ def allocate_vpip(pool: IPv4Network, taken: Sequence[int],
     controller passes ``MobilityServiceTable.vpip_offsets``. The draw is
     ``free[rng.randrange(len(free))]`` over the free hosts in address order,
     so a fixed seed and call history always yield the same address; the free
-    list itself is never built, only ``taken`` is walked. Drawing from the
-    free set makes collisions impossible; no retry loop exists.
+    list itself is never built: ``nth_free`` finds the drawn free host by a
+    binary search over ``taken``, O(log n) reads. Drawing from the free set
+    makes collisions impossible; no retry loop exists.
     """
     first, count = host_span(pool)
     if len(taken) == count:
@@ -206,6 +213,7 @@ class MobilityController:
     ) -> None:
         self.mst = MobilityServiceTable(vpip_pool)
         self.vpip_pool = vpip_pool
+        self._pool_span = int_span(vpip_pool)
         self.rng = rng
         self.port_for_ip = port_for_ip
         self.idle_timeout = idle_timeout
@@ -215,34 +223,41 @@ class MobilityController:
     def handle_host_report(self, report: HostReport, now: int) -> List[ControlAction]:
         self._validate_real_ip(report.real_ip)
         actions: List[ControlAction] = []
+        mst = self.mst
+        record = mst.lookup(report.uid)
+        # The index maps each record's own real address to it, so the
+        # reporter already holds the address exactly when it is the holder.
+        holder = mst.holder_of(report.real_ip)
         # DHCP reuse: a report proves the reported address's previous holder
         # is gone; drop that record so real->virtual stays a bijection.
-        holder = self.mst.holder_of(report.real_ip)
-        if holder is not None and holder.uid != report.uid:
-            self.mst.remove(holder.uid)
+        if holder is not None and holder is not record:
+            mst.remove(holder.uid)
             actions.append(EvictClient(holder.uid))
-        record = self.mst.lookup(report.uid)
         if record is None:
-            vpip = allocate_vpip(self.vpip_pool, self.mst.vpip_offsets, self.rng)
+            vpip = allocate_vpip(self.vpip_pool, mst.vpip_offsets, self.rng)
             record = MobilityRecord(report.uid, report.real_ip, vpip, now)
-            self.mst.add(record)
+            mst.add(record)
             actions.append(self._install_action(record))
             return actions
         record.last_seen = now
-        if record.real_ip != report.real_ip:
+        if holder is not record:
             # Zone change: only the real address moves; the virtual address
             # is the session anchor and must not change. Flows for the old
             # address are left to idle out.
-            self.mst.move(record, report.real_ip)
+            mst.move(record, report.real_ip)
             actions.append(self._install_action(record))
             return actions
         actions.append(RefreshFlows(record.uid))
         return actions
 
     def _validate_real_ip(self, addr: IPv4Address) -> None:
-        if addr.is_unspecified or addr.is_multicast or addr == IPv4Address("255.255.255.255"):
+        """Reject the unspecified, multicast (224.0.0.0/4) and limited
+        broadcast addresses and any address of the virtual pool, tested on
+        the address integer."""
+        ip = int(addr)
+        if ip == 0 or ip >> 28 == 0xE or ip == _LIMITED_BROADCAST:
             raise ReportRejected(f"not a unicast client address: {addr}")
-        if addr in self.vpip_pool:
+        if ip in self._pool_span:
             raise ReportRejected(
                 f"client address {addr} collides with the virtual pool {self.vpip_pool}"
             )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import enum
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -91,6 +91,10 @@ class FlowAction:
 
 _REWRITE_SRC = ActionKind.REWRITE_SRC
 _REWRITE_DST = ActionKind.REWRITE_DST
+_FORWARD = ActionKind.FORWARD
+
+# forward(port) results: actions are frozen, so one per port serves every rule.
+_forwards: Dict[str, FlowAction] = {}
 
 
 def rewrite_src(addr: IPv4Address) -> FlowAction:
@@ -102,7 +106,12 @@ def rewrite_dst(addr: IPv4Address) -> FlowAction:
 
 
 def forward(port: str) -> FlowAction:
-    return FlowAction(ActionKind.FORWARD, out_port=port)
+    """The forward action for ``port``; every call with one port returns
+    the same shared action."""
+    action = _forwards.get(port)
+    if action is None:
+        action = _forwards[port] = FlowAction(_FORWARD, out_port=port)
+    return action
 
 
 # Rules, matches and actions are slotted: a campus-sized table holds
@@ -117,12 +126,14 @@ class FlowRule:
     install_seq: int = 0
 
     def __post_init__(self) -> None:
-        self.actions = tuple(self.actions)
+        actions = self.actions = tuple(self.actions)
         if self.priority < 0:
             raise InstallRejected("priority must be non-negative")
-        forwards = [a for a in self.actions if a.kind is ActionKind.FORWARD]
-        if len(forwards) != 1 or self.actions[-1].kind is not ActionKind.FORWARD:
+        if not actions or actions[-1].kind is not _FORWARD:
             raise MalformedActions("action list must end with exactly one forward")
+        for action in actions[:-1]:
+            if action.kind is _FORWARD:
+                raise MalformedActions("action list must end with exactly one forward")
 
 
 def apply_actions(rule: FlowRule, pkt: Packet) -> Tuple[Packet, str]:
@@ -172,7 +183,9 @@ def _sort_key(rule: FlowRule) -> Tuple[int, int]:
 _NEVER = float("inf")
 
 
-_Bucket = List[FlowRule]
+# A tuple, not a list: most buckets hold one rule, and a one-rule tuple is
+# about half the memory of a one-rule list.
+_Bucket = Tuple[FlowRule, ...]
 
 
 class FlowTable:
@@ -184,11 +197,12 @@ class FlowTable:
     address, one by destination address and one by (source, destination),
     each address as its integer (taken at install, read from
     ``Packet.src_int``/``dst_int`` at lookup). Each value is the short
-    bucket of rules with that match, sorted by (priority desc, install_seq
-    asc). A lookup reads at most three bucket heads and keeps the best by
-    the same key, so equal-priority ties resolve to the earliest install;
-    when no bucket matches, the default rule wins. Cost per packet does not
-    grow with the number of rules.
+    bucket of rules with that match, a tuple sorted by (priority desc,
+    install_seq asc) that install and expiry replace whole. A lookup reads
+    at most three bucket heads and keeps the best by the same key, so
+    equal-priority ties resolve to the earliest install; when no bucket
+    matches, the default rule wins. Cost per packet does not grow with the
+    number of rules.
 
     ``expire`` keeps a lower bound on the earliest idle deadline (last hit
     plus timeout) and skips its scan while ``now`` is at or below it. The
@@ -258,24 +272,25 @@ class FlowTable:
             raise InstallRejected(
                 f"translation rules need priority > {DEFAULT_PRIORITY}, got {rule.priority}"
             )
+        seq = self._next_seq
+        installed = FlowRule(rule.match, rule.actions, rule.priority,
+                             rule.idle_timeout, now, seq)
+        self._next_seq = seq + 1
         index, key = self._index_of(rule.match)
-        bucket = index.setdefault(key, [])
-        for i, existing in enumerate(bucket):
-            if existing.priority == rule.priority:
-                del bucket[i]
-                del self._by_seq[existing.install_seq]
-                break
-        installed = replace(
-            rule,
-            actions=rule.actions,
-            install_seq=self._next_seq,
-            last_hit=now,
-        )
-        self._next_seq += 1
-        # The fresh install_seq is the largest, so the rule goes after every
-        # rule of equal or higher priority.
-        bisect.insort(bucket, installed, key=_sort_key)
-        self._by_seq[installed.install_seq] = installed
+        bucket = index.get(key)
+        if bucket is None:
+            index[key] = (installed,)
+        else:
+            for i, existing in enumerate(bucket):
+                if existing.priority == rule.priority:
+                    bucket = bucket[:i] + bucket[i + 1:]
+                    del self._by_seq[existing.install_seq]
+                    break
+            # The fresh install_seq is the largest, so the rule goes after
+            # every rule of equal or higher priority.
+            at = bisect.bisect_right(bucket, _sort_key(installed), key=_sort_key)
+            index[key] = bucket[:at] + (installed,) + bucket[at:]
+        self._by_seq[seq] = installed
         if installed.idle_timeout is not None:
             self._expiry_bound = min(self._expiry_bound, now + installed.idle_timeout)
         return installed
@@ -335,7 +350,7 @@ class FlowTable:
         for rule in removed:
             del self._by_seq[rule.install_seq]
             index, key = self._index_of(rule.match)
-            bucket = [r for r in index[key] if r is not rule]
+            bucket = tuple(r for r in index[key] if r is not rule)
             if bucket:
                 index[key] = bucket
             else:

@@ -132,7 +132,8 @@ class TunnelConfig:
 
     def __post_init__(self) -> None:
         if self.encap_overhead_bytes < 0:
-            raise ConfigurationError("encapsulation overhead cannot be negative")
+            raise ConfigurationError("encapsulation overhead cannot be negative",
+                                     "encap_overhead_bytes")
 
     def resolved_binding_delay(self, control_delay_us: int) -> int:
         if self.binding_update_delay_us is not None:
@@ -360,21 +361,27 @@ class Network:
         """Where ``zone``'s access-up link delivers."""
         return zone.handle_from_access
 
+    def _zone_port(self, addr: int) -> str:
+        """The core port that reaches the address ``addr`` (an integer):
+        its zone's, else external."""
+        for zone in self.zones.values():
+            if addr in zone.span:
+                return zone.port
+        return EXT_PORT
+
     def _port_for_ip(self, addr: IPv4Address) -> str:
-        """The core port that reaches ``addr``: its zone's, else external."""
-        return self._port_for_int(int(addr))
+        """``_zone_port`` of an ``IPv4Address``, uncached: the SDN
+        controller asks once per install and the SDN core's default route
+        seldom, so caching every client the controller admits would only
+        hold memory."""
+        return self._zone_port(int(addr))
 
     def _port_for_int(self, addr: int) -> str:
-        """``_port_for_ip`` of an address given as its integer. Zones never
+        """``_zone_port`` for the tunnel core, once per packet. Zones never
         change during a run, so each answer is cached."""
         port = self._port_cache.get(addr)
         if port is None:
-            port = EXT_PORT
-            for zone in self.zones.values():
-                if addr in zone.span:
-                    port = zone.port
-                    break
-            self._port_cache[addr] = port
+            port = self._port_cache[addr] = self._zone_port(addr)
         return port
 
     # -- fates ---------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Address draws against the free-list reference they replaced."""
 
+import math
 import random
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnmob.addressing import AddressPool, PoolExhausted, Uid, host_span
+from sdnmob.addressing import AddressPool, PoolExhausted, Uid, host_span, nth_free
 from sdnmob.controller import MobilityRecord, MobilityServiceTable, allocate_vpip
 
 BASE = int(IPv4Address("198.18.0.0"))
@@ -106,3 +107,74 @@ def test_pool_draws_equal_free_list_draws(prefix, seed, draws):
             used.add(expected)
         assert rng.getstate() == ref_rng.getstate()
         assert pool.used == used
+
+
+def linear_nth_free(n, used):
+    """The walk ``nth_free`` replaced: step over every used offset up to
+    the answer."""
+    for offset in used:
+        if offset > n:
+            break
+        n += 1
+    return n
+
+
+class CountingReads:
+    """A sorted offset list that counts its element reads."""
+
+    def __init__(self, offsets):
+        self.offsets = offsets
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.offsets)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.offsets[i]
+
+
+@st.composite
+def used_offsets(draw):
+    """Sorted offsets without repeats: sparse, a dense prefix 0..k-1 with a
+    sparse tail, or empty."""
+    shape = draw(st.sampled_from(["sparse", "dense", "empty"]))
+    if shape == "empty":
+        return []
+    tail = draw(st.sets(st.integers(0, 5_000), max_size=60))
+    if shape == "sparse":
+        return sorted(tail)
+    prefix = draw(st.integers(1, 300))
+    return sorted(set(range(prefix)) | tail)
+
+
+@given(used_offsets(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_nth_free_equals_linear_walk(used, data):
+    # n runs from 0 to well past the last used offset.
+    top = (used[-1] if used else 0) + 20
+    n = data.draw(st.one_of(st.integers(0, top), st.just(top + len(used))))
+    assert nth_free(n, used) == linear_nth_free(n, used)
+
+
+@pytest.mark.parametrize("empty", [[], (), set(), range(0)],
+                         ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("n", [0, 1, 4093])
+def test_nth_free_of_empty_input_is_n(empty, n):
+    # perfbench/sweeps.py draws from an empty pool by passing set().
+    assert nth_free(n, empty) == linear_nth_free(n, empty) == n
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 100, 1_000, 4_094])
+def test_nth_free_reads_a_logarithmic_number_of_offsets(size):
+    """A draw costs O(log n) reads: at most 2*ceil(log2(len+1)) + 2, where
+    a walk over the used offsets reads up to all of them."""
+    bound = 2 * math.ceil(math.log2(size + 1)) + 2
+    used = list(range(0, 2 * size, 2))  # every even offset
+    for n in (0, size // 2, size, 2 * size):
+        probe = CountingReads(used)
+        assert nth_free(n, probe) == linear_nth_free(n, used)
+        assert probe.reads <= bound, (n, probe.reads, bound)
+    dense = CountingReads(list(range(size)))
+    assert nth_free(0, dense) == size
+    assert dense.reads <= bound

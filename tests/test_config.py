@@ -107,7 +107,7 @@ class TestParse:
 
     def test_bad_tunnel_value_has_location(self):
         bad = GOOD.replace("encap_overhead_bytes = 40", "encap_overhead_bytes = -1")
-        with pytest.raises(ConfigError, match="t.ini:19: encapsulation overhead"):
+        with pytest.raises(ConfigError, match="t.ini:18: encapsulation overhead"):
             parse_scenario(bad, source="t.ini")
 
 

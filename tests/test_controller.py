@@ -2,6 +2,7 @@
 
 import bisect
 import random
+import re
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
@@ -319,3 +320,63 @@ class TestInvariants:
             actions_b = ctrl_b.handle_host_report(HostReport(uid, rip), now=i)
             assert actions_a == actions_b
         assert ctrl_a.mst.snapshot() == ctrl_b.mst.snapshot()
+
+
+def reference_rejection(addr, pool):
+    """The ``ipaddress`` checks the integer validation replaced: the
+    message a report of ``addr`` is rejected with, or None."""
+    if addr.is_unspecified or addr.is_multicast or addr == IPv4Address("255.255.255.255"):
+        return f"not a unicast client address: {addr}"
+    if addr in pool:
+        return f"client address {addr} collides with the virtual pool {pool}"
+    return None
+
+
+BOUNDARIES = [IPv4Address(a) for a in (
+    "0.0.0.0", "0.0.0.1", "223.255.255.255", "224.0.0.0", "239.255.255.255",
+    "240.0.0.0", "255.255.255.254", "255.255.255.255")]
+
+
+@st.composite
+def pools_and_addresses(draw):
+    """Any pool (multicast and the top of the space included) and an
+    address: a random one, a fixed boundary, or the pool's network or
+    broadcast address +-1."""
+    prefix = draw(st.integers(8, 32))
+    pool = IPv4Network((draw(st.integers(0, 2**32 - 1)) >> (32 - prefix) << (32 - prefix),
+                        prefix))
+    edges = [int(pool.network_address) + d for d in (-1, 0, 1)]
+    edges += [int(pool.broadcast_address) + d for d in (-1, 0, 1)]
+    addr = draw(st.one_of(
+        st.integers(0, 2**32 - 1).map(IPv4Address),
+        st.sampled_from(BOUNDARIES),
+        st.sampled_from([IPv4Address(e) for e in edges if 0 <= e < 2**32]),
+    ))
+    return pool, addr
+
+
+class TestValidateRealIp:
+    @given(pools_and_addresses())
+    @settings(max_examples=600, deadline=None)
+    def test_integer_checks_reject_what_ipaddress_rejects(self, case):
+        pool, addr = case
+        ctrl = MobilityController(pool, random.Random(0), lambda a: "ext")
+        expected = reference_rejection(addr, pool)
+        if expected is None:
+            ctrl._validate_real_ip(addr)
+        else:
+            with pytest.raises(ReportRejected) as info:
+                ctrl._validate_real_ip(addr)
+            assert str(info.value) == expected
+
+    @pytest.mark.parametrize("addr", BOUNDARIES, ids=str)
+    def test_boundaries_through_the_report_path(self, addr):
+        ctrl = make_controller()
+        expected = reference_rejection(addr, POOL)
+        if expected is None:
+            assert [type(a) for a in ctrl.handle_host_report(HostReport(UID1, addr), 0)] \
+                == [InstallFlows]
+        else:
+            with pytest.raises(ReportRejected, match=f"^{re.escape(expected)}$"):
+                ctrl.handle_host_report(HostReport(UID1, addr), 0)
+            assert len(ctrl.mst) == 0

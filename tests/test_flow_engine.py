@@ -148,6 +148,23 @@ class TestApplyActions:
                      (rewrite_src(IPv4Address("198.51.100.7")),),
                      NAT_PRIORITY, None)
 
+    @pytest.mark.parametrize("actions", [
+        (),
+        (forward("p"), forward("p")),  # one shared action, twice
+        (forward("p"), rewrite_src(IPv4Address("198.51.100.7"))),
+        (rewrite_src(IPv4Address("198.51.100.7")), forward("p"), forward("q")),
+    ], ids=["empty", "same-forward-twice", "forward-not-last", "two-forwards"])
+    def test_action_list_must_end_with_exactly_one_forward(self, actions):
+        with pytest.raises(MalformedActions, match="exactly one forward"):
+            FlowRule(FlowMatch(src_ip=IPv4Address("10.1.0.5")), actions, NAT_PRIORITY, None)
+
+    def test_forward_action_is_shared_per_port(self):
+        assert forward("p") is forward("p")
+        assert forward("p") is not forward("q")
+        assert forward("q").out_port == "q"
+        snat, dnat = nat_pair()
+        assert snat.actions[-1] is forward("ext")
+
     @given(
         rip=st.integers(1, 254), vpip=st.integers(1, 254),
         dst=st.integers(1, 254), payload=st.integers(1, 1500),
@@ -207,6 +224,14 @@ class TestInstall:
             table.install(rule, now=step)
             model[(src, prio)] = step
             assert len(table) == len(model)
+
+    def test_install_validates_its_copy(self):
+        table = FlowTable()
+        snat, _ = nat_pair()
+        snat.actions = (rewrite_src(IPv4Address("198.51.100.7")),)  # no forward
+        with pytest.raises(MalformedActions):
+            table.install(snat, now=0)
+        assert len(table) == 0 and table.find(snat.match, NAT_PRIORITY) is None
 
     def test_nat_rule_at_default_priority_rejected(self):
         table = FlowTable()
