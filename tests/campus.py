@@ -16,7 +16,7 @@ from sdnmob.addressing import Uid
 from sdnmob.config import bundled_scenario_path, load_config
 from sdnmob.controller import HostReport, InstallFlows
 from sdnmob.sim import build_topology
-from sdnmob.sim.topology import SdnNetwork, TopologyConfig
+from sdnmob.sim.topology import SdnNetwork
 from sdnmob.tap_server import ZoneConfig
 
 CAMPUS = IPv4Network("10.128.0.0/16")
@@ -24,14 +24,10 @@ VPIP_POOL = IPv4Network("198.18.16.0/20")
 UID_BASE = 0x02_00_00_00_00_00
 
 
-def campus_topology() -> TopologyConfig:
-    topology = load_config(bundled_scenario_path("handoff_bulk"), mode="sdn").topology
-    return replace(topology, vpip_pool=VPIP_POOL,
-                   zones=topology.zones + (ZoneConfig("campus", CAMPUS),))
-
-
 def campus_network() -> SdnNetwork:
-    return build_topology(campus_topology())
+    topology = load_config(bundled_scenario_path("handoff_bulk"), mode="sdn").topology
+    return build_topology(replace(topology, vpip_pool=VPIP_POOL,
+                                  zones=topology.zones + (ZoneConfig("campus", CAMPUS),)))
 
 
 def campus_population(count: int, seed: int = 1) -> List[Tuple[Uid, IPv4Address]]:
