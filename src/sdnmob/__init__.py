@@ -24,8 +24,6 @@ from .controller import (
     allocate_vpip,
 )
 from .flow_engine import (
-    ActionKind,
-    FlowAction,
     FlowMatch,
     FlowRule,
     FlowTable,

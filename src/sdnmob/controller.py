@@ -200,8 +200,9 @@ class MobilityController:
     """Serialized event handler for host reports, packet-ins and timer ticks.
 
     ``port_for_ip`` resolves which core-router port reaches a given client
-    address (the controller's topology knowledge). Translation flows take
-    the NAT priority, and outbound ones leave on ``EXT_PORT``.
+    address (the controller's topology knowledge). Each binding gets one
+    source NAT and one destination NAT rule; outbound traffic leaves on
+    ``EXT_PORT``.
     """
 
     def __init__(

@@ -37,7 +37,7 @@ from ..controller import (
     DEFAULT_IDLE_TIMEOUT_US,
     LIVENESS_WINDOW_FACTOR,
 )
-from ..flow_engine import NAT_PRIORITY, FlowMatch, PacketIn, SdnSwitch
+from ..flow_engine import FlowMatch, PacketIn, SdnSwitch
 from ..packet import Packet, PacketKind
 from ..tap_server import (
     DEFAULT_UPDATE_INTERVAL_US,
@@ -550,12 +550,7 @@ class SdnNetwork(Network):
             port_for_ip=self._port_for_ip,
             idle_timeout=cfg.idle_timeout_us,
         )
-        self.switch = SdnSwitch(
-            local_ranges=[z.dhcp_range for z in cfg.zones],
-            route_port=self._port_for_ip,
-            default_port=EXT_PORT,
-            buffer_timeout=1 * US_PER_S,
-        )
+        self.switch = SdnSwitch([z.dhcp_range for z in cfg.zones], self._port_for_ip)
         self.sim.schedule_at(EXPIRY_TICK_US, self._expiry_tick)
         for zone in self.zones.values():
             self.sim.schedule_at(cfg.keepalive_interval_us, self._keepalive_tick, zone.tap)
@@ -620,8 +615,8 @@ class SdnNetwork(Network):
         if record is None:
             return
         now = self.sim.now
-        self.switch.table.touch(FlowMatch(src_ip=record.real_ip), NAT_PRIORITY, now)
-        self.switch.table.touch(FlowMatch(dst_ip=record.virtual_ip), NAT_PRIORITY, now)
+        self.switch.table.touch(FlowMatch(src_ip=record.real_ip), now)
+        self.switch.table.touch(FlowMatch(dst_ip=record.virtual_ip), now)
 
     # -- core router -------------------------------------------------------------
 

@@ -1,33 +1,27 @@
-"""Reference flow table: a sorted list scanned front to back.
+"""Reference NAT table: a list in install order scanned front to back.
 
 This is the straightforward implementation that ``sdnmob.flow_engine.FlowTable``
-replaced with an exact-match index. The tests drive both through the same
+replaced with one dict per rule shape. The tests drive both through the same
 scripts and require identical answers.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from sdnmob.flow_engine import (
-    DEFAULT_PRIORITY,
-    FlowMatch,
-    FlowRule,
-    InstallRejected,
-    forward,
-)
+from sdnmob.flow_engine import FlowMatch, FlowRule, InstallRejected
 from sdnmob.packet import Packet
 
 
-def _sort_key(rule: FlowRule) -> Tuple[int, int]:
-    return (-rule.priority, rule.install_seq)
+def _matches(match: FlowMatch, pkt: Packet) -> bool:
+    return ((match.src_ip is None or pkt.src_ip == match.src_ip)
+            and (match.dst_ip is None or pkt.dst_ip == match.dst_ip))
 
 
 class LinearFlowTable:
-    """Rules kept sorted by (priority desc, install_seq asc); the first hit
-    of a linear scan is the winner."""
+    """Rules kept in install order, the default last; the first hit of a
+    linear scan is the winner."""
 
     def __init__(self) -> None:
         self._rules: List[FlowRule] = []
@@ -35,68 +29,51 @@ class LinearFlowTable:
         self._default: Optional[FlowRule] = None
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return len(self._rules) + (self._default is not None)
 
     @property
     def rules(self) -> Sequence[FlowRule]:
-        return tuple(self._rules)
+        out = list(self._rules)
+        if self._default is not None:
+            out.append(self._default)
+        return tuple(sorted(out, key=lambda r: r.install_seq))
 
     @property
     def default_rule(self) -> Optional[FlowRule]:
         return self._default
 
     def install_default(self, out_port: str, now: int = 0) -> FlowRule:
-        rule = FlowRule(
-            match=FlowMatch(),
-            actions=(forward(out_port),),
-            priority=DEFAULT_PRIORITY,
-            idle_timeout=None,
-            last_hit=now,
-        )
-        if self._default is not None:
-            self._rules.remove(self._default)
-        rule.install_seq = self._next_seq
+        self._default = FlowRule(FlowMatch(), None, out_port, None, now, self._next_seq)
         self._next_seq += 1
-        bisect.insort(self._rules, rule, key=_sort_key)
-        self._default = rule
-        return rule
+        return self._default
 
     def install(self, rule: FlowRule, now: int) -> FlowRule:
-        if rule.match.is_wildcard:
-            raise InstallRejected("all-wildcard match is reserved for the default rule")
-        if rule.priority <= DEFAULT_PRIORITY:
-            raise InstallRejected(
-                f"translation rules need priority > {DEFAULT_PRIORITY}, got {rule.priority}"
-            )
-        existing = self.find(rule.match, rule.priority)
+        if (rule.match.src_ip is None) == (rule.match.dst_ip is None):
+            raise InstallRejected("a rule matches exactly one of source or destination")
+        existing = self.find(rule.match)
         if existing is not None:
             self._rules.remove(existing)
-        installed = replace(
-            rule,
-            actions=rule.actions,
-            install_seq=self._next_seq,
-            last_hit=now,
-        )
+        installed = replace(rule, install_seq=self._next_seq, last_hit=now)
         self._next_seq += 1
-        bisect.insort(self._rules, installed, key=_sort_key)
+        self._rules.append(installed)
         return installed
 
-    def find(self, match: FlowMatch, priority: int) -> Optional[FlowRule]:
+    def find(self, match: FlowMatch) -> Optional[FlowRule]:
         for rule in self._rules:
-            if rule.match == match and rule.priority == priority:
+            if rule.match == match:
                 return rule
         return None
 
-    def touch(self, match: FlowMatch, priority: int, now: int) -> bool:
-        rule = self.find(match, priority)
+    def touch(self, match: FlowMatch, now: int) -> bool:
+        rule = self.find(match)
         if rule is None:
             return False
         rule.last_hit = max(rule.last_hit, now)
         return True
 
     def match_packet(self, pkt: Packet, now: int) -> Optional[FlowRule]:
-        for rule in self._rules:
-            if rule.match.matches(pkt):
+        for rule in [*self._rules, self._default]:
+            if rule is not None and _matches(rule.match, pkt):
                 rule.last_hit = now
                 return rule
         return None

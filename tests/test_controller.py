@@ -86,7 +86,7 @@ class TestHostReports:
         assert record.last_seen == 10
         assert install.snat.match.src_ip == record.real_ip
         assert install.dnat.match.dst_ip == record.virtual_ip
-        assert install.dnat.actions[-1].out_port == "zone:z1"
+        assert install.dnat.out_port == "zone:z1"
 
     def test_zone_change_keeps_virtual_address(self):
         ctrl = make_controller()
@@ -99,8 +99,8 @@ class TestHostReports:
         assert record.virtual_ip == vpip
         assert record.last_seen == 60
         assert isinstance(actions[0], InstallFlows)
-        assert actions[0].dnat.actions[0].new_addr == IPv4Address("10.2.0.9")
-        assert actions[0].dnat.actions[-1].out_port == "zone:z2"
+        assert actions[0].dnat.new_addr == IPv4Address("10.2.0.9")
+        assert actions[0].dnat.out_port == "zone:z2"
 
     def test_same_report_refreshes_only(self):
         ctrl = make_controller()

@@ -9,20 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from sdnmob.addressing import Uid
 from sdnmob.flow_engine import (
-    DEFAULT_PRIORITY,
-    NAT_PRIORITY,
+    PACKET_IN_BUFFER_TIMEOUT_US,
     FlowMatch,
     FlowRule,
     FlowTable,
     Forwarded,
     InstallRejected,
-    MalformedActions,
     PacketIn,
     SdnSwitch,
     apply_actions,
     dnat_rule,
-    forward,
-    rewrite_src,
     snat_rule,
 )
 from sdnmob.packet import Packet, PacketKind
@@ -61,7 +57,7 @@ class TestMatchPacket:
         installed = table.install(snat, now=0)
         hit = table.match_packet(data_packet(src="10.1.0.5"), now=5)
         assert hit is installed
-        assert hit.priority == NAT_PRIORITY
+        assert hit is not table.default_rule
         assert hit.last_hit == 5
 
     def test_default_matches_when_nothing_else(self):
@@ -73,52 +69,51 @@ class TestMatchPacket:
         assert hit is table.default_rule
 
     def test_equal_priority_tie_breaks_on_install_order(self):
-        table = FlowTable()
-        first = table.install(
-            FlowRule(FlowMatch(src_ip=IPv4Address("10.1.0.5")),
-                     (forward("a"),), NAT_PRIORITY, None), now=0)
-        table.install(
-            FlowRule(FlowMatch(dst_ip=IPv4Address("203.0.113.10")),
-                     (forward("b"),), NAT_PRIORITY, None), now=0)
-        hit = table.match_packet(data_packet(src="10.1.0.5"), now=0)
-        assert hit is first
+        """Every rule sits at one priority. Client A's real address to
+        client B's virtual address matches A's SNAT and B's DNAT rule: the
+        earlier install wins in either order, and reinstalling the loser (a
+        fresh install_seq) makes it lose again, while reinstalling the
+        winner hands the packet over."""
+        a_snat, _ = nat_pair(rip="10.1.0.5", vpip="198.51.100.7")
+        _, b_dnat = nat_pair(rip="10.1.0.6", vpip="198.51.100.8")
+        pkt = data_packet(src="10.1.0.5", dst="198.51.100.8")
+        for first, second in ((a_snat, b_dnat), (b_dnat, a_snat)):
+            table = FlowTable()
+            table.install_default("route")
+            winner = table.install(first, now=0)
+            table.install(second, now=0)
+            assert table.match_packet(pkt, now=1) is winner
+            loser_again = table.install(second, now=2)
+            assert table.match_packet(pkt, now=3) is winner
+            table.install(first, now=4)
+            assert table.match_packet(pkt, now=5) is loser_again
 
     def test_tie_break_against_reference_scan(self):
-        """Oracle: a naive full scan picking (max priority, min install_seq)."""
+        """Oracle: a naive full scan picking the earliest install among the
+        matching rules, the default only when nothing else matches."""
         rng = random.Random(1234)
+        hosts = [IPv4Address(f"10.1.0.{i}") for i in range(1, 6)]
+        vpips = [IPv4Address(f"198.51.100.{i}") for i in range(1, 6)]
         for _ in range(1000):
             table = FlowTable()
             table.install_default("route")
-            srcs = [IPv4Address(f"10.1.0.{i}") for i in range(1, 6)]
             for _ in range(rng.randrange(1, 12)):
-                rule = FlowRule(
-                    FlowMatch(src_ip=rng.choice(srcs)),
-                    (forward("p"),),
-                    priority=rng.choice([50, 100, 100, 200]),
-                    idle_timeout=None,
-                )
+                i = rng.randrange(5)
+                if rng.random() < 0.5:
+                    rule = snat_rule(hosts[i], vpips[i], "ext", None)
+                else:
+                    rule = dnat_rule(vpips[i], hosts[i], "zone:z1", None)
                 table.install(rule, now=0)
-            pkt = data_packet(src=str(rng.choice(srcs)))
-            expected = None
-            for rule in table.rules:
-                if not rule.match.matches(pkt):
-                    continue
-                if expected is None or (
-                    (-rule.priority, rule.install_seq)
-                    < (-expected.priority, expected.install_seq)
-                ):
-                    expected = rule
+            pkt = data_packet(src=str(rng.choice(hosts)), dst=str(rng.choice(vpips)))
+            matching = [
+                r for r in table.rules
+                if pkt.src_ip == r.match.src_ip or pkt.dst_ip == r.match.dst_ip
+            ]
+            expected = min(matching, key=lambda r: r.install_seq, default=table.default_rule)
             assert table.match_packet(pkt, now=0) is expected
 
 
 class TestApplyActions:
-    def test_forward_only_leaves_packet_alone(self):
-        rule = FlowRule(FlowMatch(src_ip=IPv4Address("10.1.0.5")),
-                        (forward("p1"),), NAT_PRIORITY, None)
-        pkt = data_packet()
-        out, port = apply_actions(rule, pkt)
-        assert out == pkt and port == "p1"
-
     def test_source_rewrite(self):
         snat, _ = nat_pair(rip="10.1.0.5", vpip="198.51.100.7")
         pkt = data_packet(src="10.1.0.5")
@@ -141,29 +136,6 @@ class TestApplyActions:
         addr = IPv4Address("198.51.100.7")
         assert pkt.with_src(addr) == dataclasses.replace(pkt, src_ip=addr)
         assert pkt.with_dst(addr) == dataclasses.replace(pkt, dst_ip=addr)
-
-    def test_rule_without_forward_rejected(self):
-        with pytest.raises(MalformedActions):
-            FlowRule(FlowMatch(src_ip=IPv4Address("10.1.0.5")),
-                     (rewrite_src(IPv4Address("198.51.100.7")),),
-                     NAT_PRIORITY, None)
-
-    @pytest.mark.parametrize("actions", [
-        (),
-        (forward("p"), forward("p")),  # one shared action, twice
-        (forward("p"), rewrite_src(IPv4Address("198.51.100.7"))),
-        (rewrite_src(IPv4Address("198.51.100.7")), forward("p"), forward("q")),
-    ], ids=["empty", "same-forward-twice", "forward-not-last", "two-forwards"])
-    def test_action_list_must_end_with_exactly_one_forward(self, actions):
-        with pytest.raises(MalformedActions, match="exactly one forward"):
-            FlowRule(FlowMatch(src_ip=IPv4Address("10.1.0.5")), actions, NAT_PRIORITY, None)
-
-    def test_forward_action_is_shared_per_port(self):
-        assert forward("p") is forward("p")
-        assert forward("p") is not forward("q")
-        assert forward("q").out_port == "q"
-        snat, dnat = nat_pair()
-        assert snat.actions[-1] is forward("ext")
 
     @given(
         rip=st.integers(1, 254), vpip=st.integers(1, 254),
@@ -212,37 +184,32 @@ class TestInstall:
         assert str(out.src_ip) == "198.51.100.9"
 
     def test_replacement_matches_set_semantics_model(self):
-        """Oracle: a dict keyed by (match, priority)."""
+        """Oracle: a dict keyed by match."""
         rng = random.Random(99)
         table = FlowTable()
         model = {}
         for step in range(500):
-            src = IPv4Address(f"10.1.0.{rng.randrange(1, 8)}")
-            prio = rng.choice([100, 200])
-            rule = FlowRule(FlowMatch(src_ip=src), (forward(f"p{step}"),),
-                            prio, None)
-            table.install(rule, now=step)
-            model[(src, prio)] = step
+            addr = IPv4Address(f"10.1.0.{rng.randrange(1, 8)}")
+            if rng.random() < 0.5:
+                rule = snat_rule(addr, IPv4Address("198.51.100.7"), f"p{step}", None)
+            else:
+                rule = dnat_rule(addr, IPv4Address("10.2.0.7"), f"p{step}", None)
+            installed = table.install(rule, now=step)
+            model[rule.match] = installed
             assert len(table) == len(model)
+            assert table.rules == tuple(sorted(model.values(), key=lambda r: r.install_seq))
 
     def test_install_validates_its_copy(self):
         table = FlowTable()
         snat, _ = nat_pair()
-        snat.actions = (rewrite_src(IPv4Address("198.51.100.7")),)  # no forward
-        with pytest.raises(MalformedActions):
-            table.install(snat, now=0)
-        assert len(table) == 0 and table.find(snat.match, NAT_PRIORITY) is None
-
-    def test_nat_rule_at_default_priority_rejected(self):
-        table = FlowTable()
-        rule = FlowRule(FlowMatch(src_ip=IPv4Address("10.1.0.5")),
-                        (forward("ext"),), DEFAULT_PRIORITY, None)
+        snat.match = FlowMatch(src_ip=snat.match.src_ip, dst_ip=IPv4Address("203.0.113.10"))
         with pytest.raises(InstallRejected):
-            table.install(rule, now=0)
+            table.install(snat, now=0)
+        assert len(table) == 0 and table.rules == ()
 
     def test_wildcard_install_rejected(self):
         table = FlowTable()
-        rule = FlowRule(FlowMatch(), (forward("ext"),), NAT_PRIORITY, None)
+        rule = FlowRule(FlowMatch(), None, "ext", None)
         with pytest.raises(InstallRejected):
             table.install(rule, now=0)
 
@@ -290,14 +257,28 @@ class TestExpiry:
         snat, dnat = nat_pair(timeout=30)
         table.install(snat, now=0)
         table.install(dnat, now=10)
-        rules = table._by_seq
-        table._by_seq = Unreadable(rules)
+        rules = table._snat, table._dnat
+
+        def hide():
+            table._snat, table._dnat = (Unreadable(r) for r in rules)
+
+        hide()
         for t in (0, 15, 30):
             assert table.expire(now=t) == []
-        table._by_seq = rules
+        table._snat, table._dnat = rules
         assert [r.match for r in table.expire(now=31)] == [snat.match]
-        table._by_seq = Unreadable(rules)
+        hide()
         assert table.expire(now=40) == []  # the dnat rule's deadline
+
+    def test_expired_rules_come_back_in_install_order(self):
+        """A reinstalled SNAT rule keeps its dict slot but is the newest
+        install, so it is listed after an older DNAT rule."""
+        table = FlowTable()
+        snat, dnat = nat_pair(timeout=10)
+        table.install(snat, now=0)
+        old_dnat = table.install(dnat, now=0)
+        new_snat = table.install(snat, now=1)
+        assert table.expire(now=100) == [old_dnat, new_snat]
 
     def test_install_lowers_the_bound(self):
         table = FlowTable()
@@ -328,27 +309,36 @@ REMOTE = IPv4Address("203.0.113.10")
 
 @st.composite
 def differential_ops(draw):
-    """Scripts mixing SNAT, DNAT and pair installs at two priorities (so
-    reinstalls and shadowed rules occur), src- and dst-hit packets,
-    touches, expiry sweeps and default reinstalls."""
+    """Scripts mixing SNAT and DNAT installs (so reinstalls occur), src-,
+    dst- and both-hit packets, touches, expiry sweeps and default
+    reinstalls."""
     ops = []
     t = 0
     for _ in range(draw(st.integers(1, 40))):
         t += draw(st.integers(0, 40))
         kind = draw(st.sampled_from(
-            ["snat", "dnat", "pair", "src_hit", "dst_hit", "miss", "touch",
+            ["snat", "dnat", "src_hit", "dst_hit", "both_hit", "miss", "touch",
              "expire", "default"]))
-        ops.append((kind, t, draw(st.integers(0, 3)), draw(st.sampled_from([100, 200]))))
+        ops.append((kind, t, draw(st.integers(0, 3)), draw(st.integers(0, 3))))
     return ops
 
 
-def _rule_for(kind, i, prio, timeout):
+def _rule_for(kind, i, timeout):
     if kind == "snat":
-        return snat_rule(HOSTS[i], VPIPS[i], "ext", timeout, prio)
-    if kind == "dnat":
-        return dnat_rule(VPIPS[i], HOSTS[i], f"zone:z{i}", timeout, prio)
-    return FlowRule(FlowMatch(src_ip=HOSTS[i], dst_ip=REMOTE), (forward(f"p{i}"),),
-                    prio, timeout)
+        return snat_rule(HOSTS[i], VPIPS[i], "ext", timeout)
+    return dnat_rule(VPIPS[i], HOSTS[i], f"zone:z{i}", timeout)
+
+
+def _packet_for(kind, i, j, t):
+    """A packet from host i to REMOTE, from REMOTE to vpIP i, from host i
+    to vpIP j (client-to-client, hitting both shapes), or to neither."""
+    src, dst = {
+        "src_hit": (HOSTS[i], REMOTE),
+        "dst_hit": (REMOTE, VPIPS[i]),
+        "both_hit": (HOSTS[i], VPIPS[j]),
+        "miss": (IPv4Address("192.0.2.1"), IPv4Address("192.0.2.2")),
+    }[kind]
+    return data_packet(src=str(src), dst=str(dst), now=t)
 
 
 @st.composite
@@ -360,14 +350,14 @@ def mixed_timeout_ops(draw):
     for _ in range(draw(st.integers(1, 40))):
         t += draw(st.integers(0, 40))
         kind = draw(st.sampled_from(
-            ["snat", "dnat", "pair", "src_hit", "dst_hit", "touch", "expire", "expire"]))
-        ops.append((kind, t, draw(st.integers(0, 3)), draw(st.sampled_from([100, 200])),
+            ["snat", "dnat", "src_hit", "dst_hit", "both_hit", "touch", "expire", "expire"]))
+        ops.append((kind, t, draw(st.integers(0, 3)), draw(st.integers(0, 3)),
                     draw(st.sampled_from([None, 1, 10, 50, 200]))))
     return ops
 
 
 def _signature(rule):
-    return None if rule is None else (rule.match, rule.priority, rule.install_seq)
+    return None if rule is None else (rule.match, rule.install_seq)
 
 
 class TestLifecycleModel:
@@ -410,22 +400,17 @@ class TestLifecycleModel:
         table, ref = FlowTable(), LinearFlowTable()
         for t in (table, ref):
             t.install_default("route")
-        for kind, t, i, prio in ops:
-            if kind in ("snat", "dnat", "pair"):
-                rule = _rule_for(kind, i, prio, timeout)
+        for kind, t, i, j in ops:
+            if kind in ("snat", "dnat"):
+                rule = _rule_for(kind, i, timeout)
                 assert table.install(rule, now=t) == ref.install(rule, now=t)
-            elif kind in ("src_hit", "dst_hit", "miss"):
-                src, dst = {
-                    "src_hit": (HOSTS[i], REMOTE),
-                    "dst_hit": (REMOTE, VPIPS[i]),
-                    "miss": (IPv4Address("192.0.2.1"), IPv4Address("192.0.2.2")),
-                }[kind]
-                pkt = data_packet(src=str(src), dst=str(dst), now=t)
+            elif kind in ("src_hit", "dst_hit", "both_hit", "miss"):
+                pkt = _packet_for(kind, i, j, t)
                 assert _signature(table.match_packet(pkt, now=t)) == _signature(
                     ref.match_packet(pkt, now=t))
             elif kind == "touch":
-                match = _rule_for("snat" if i % 2 else "dnat", i, prio, timeout).match
-                assert table.touch(match, prio, now=t) == ref.touch(match, prio, now=t)
+                match = _rule_for("snat" if j % 2 else "dnat", i, timeout).match
+                assert table.touch(match, now=t) == ref.touch(match, now=t)
             elif kind == "expire":
                 assert table.expire(now=t) == ref.expire(now=t)
             else:
@@ -443,18 +428,17 @@ class TestLifecycleModel:
         table, ref = FlowTable(), LinearFlowTable()
         for t in (table, ref):
             t.install_default("route")
-        for kind, t, i, prio, timeout in ops:
-            if kind in ("snat", "dnat", "pair"):
-                rule = _rule_for(kind, i, prio, timeout)
+        for kind, t, i, j, timeout in ops:
+            if kind in ("snat", "dnat"):
+                rule = _rule_for(kind, i, timeout)
                 assert table.install(rule, now=t) == ref.install(rule, now=t)
-            elif kind in ("src_hit", "dst_hit"):
-                src, dst = (HOSTS[i], REMOTE) if kind == "src_hit" else (REMOTE, VPIPS[i])
-                pkt = data_packet(src=str(src), dst=str(dst), now=t)
+            elif kind in ("src_hit", "dst_hit", "both_hit"):
+                pkt = _packet_for(kind, i, j, t)
                 assert _signature(table.match_packet(pkt, now=t)) == _signature(
                     ref.match_packet(pkt, now=t))
             elif kind == "touch":
-                match = _rule_for("snat" if i % 2 else "dnat", i, prio, timeout).match
-                assert table.touch(match, prio, now=t) == ref.touch(match, prio, now=t)
+                match = _rule_for("snat" if j % 2 else "dnat", i, timeout).match
+                assert table.touch(match, now=t) == ref.touch(match, now=t)
             else:
                 assert table.expire(now=t) == ref.expire(now=t)
             assert table.rules == ref.rules
@@ -465,7 +449,6 @@ class TestSwitch:
         return SdnSwitch(
             local_ranges=[LOCAL],
             route_port=lambda dst: "zone:z1" if dst in LOCAL else "ext",
-            default_port="ext",
         )
 
     def test_known_client_translated(self):
@@ -524,17 +507,13 @@ class TestSwitch:
         assert sw.pending[0].packet.seq == 6
 
     def test_buffered_packet_expires_at_drain(self):
-        sw = SdnSwitch(
-            local_ranges=[LOCAL],
-            route_port=lambda dst: "ext",
-            default_port="ext",
-            buffer_timeout=1_000,
-        )
+        sw = self.make_switch()
         sw.process_packet(data_packet(src="10.1.0.5"), now=0)
         snat, dnat = nat_pair()
-        sw.install(snat, now=5_000)
-        sw.install(dnat, now=5_000)
-        assert sw.drain(now=5_000) == []
+        late = PACKET_IN_BUFFER_TIMEOUT_US + 1
+        sw.install(snat, now=late)
+        sw.install(dnat, now=late)
+        assert sw.drain(now=late) == []
         assert sw.buffer_drops == 1 and not sw.pending
 
     def test_dhcp_never_escalates(self):
@@ -563,7 +542,7 @@ class TestProperties:
             table.install(snat, now=0)
         hit = table.match_packet(data_packet(src=f"10.1.0.{src}"), now=1)
         assert hit is not table.default_rule
-        assert hit.priority > DEFAULT_PRIORITY
+        assert hit.match.src_ip == IPv4Address(f"10.1.0.{src}")
 
     @given(payload=st.integers(1, 9000), seq=st.integers(0, 2**31))
     @settings(max_examples=100)

@@ -422,7 +422,7 @@ class TestFlowRefresh:
         """A keepalive report for an unchanged binding must touch the
         installed translation rules instead of reinstalling them."""
         from sdnmob.controller import HostReport, RefreshFlows
-        from sdnmob.flow_engine import NAT_PRIORITY, FlowMatch
+        from sdnmob.flow_engine import FlowMatch
         from ipaddress import IPv4Address
 
         net = build_topology(two_zone_cfg())
@@ -432,8 +432,8 @@ class TestFlowRefresh:
         for action in actions:
             net._apply_install(action)
         record = net.controller.lookup(uid)
-        snat = net.switch.table.find(
-            FlowMatch(src_ip=record.real_ip), NAT_PRIORITY)
+        rules = {rule.match: rule for rule in net.switch.table.rules}
+        snat = rules.get(FlowMatch(src_ip=record.real_ip))
         assert snat is not None and snat.last_hit == 0
         refresh = net.controller.handle_host_report(
             HostReport(uid, IPv4Address("10.1.0.5")), now=usec(10))
@@ -441,8 +441,7 @@ class TestFlowRefresh:
         net.sim.now = usec(10)
         net._apply_refresh(refresh[0])
         assert snat.last_hit == usec(10)
-        dnat = net.switch.table.find(
-            FlowMatch(dst_ip=record.virtual_ip), NAT_PRIORITY)
+        dnat = rules[FlowMatch(dst_ip=record.virtual_ip)]
         assert dnat.last_hit == usec(10)
 
 
