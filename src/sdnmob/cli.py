@@ -3,8 +3,9 @@
 ``sdnmob run <config> [--mode sdn|pmip|both] [--seed N] [--out DIR]``
 executes the requested runs, writes one metrics CSV per run plus a
 ``summary.txt``, and exits 0 only when every run completed and every
-artifact exists. The output directory can also come from the
-``SDNMOB_OUTPUT_DIR`` environment variable.
+artifact exists. A run that raises prints its traceback and
+``run failed: ...`` to standard error and exits 1. The output directory can
+also come from the ``SDNMOB_OUTPUT_DIR`` environment variable.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from typing import Dict, List, Optional
 
 from .config import ConfigError, RunConfig, bundled_scenario_path, load_config
@@ -113,6 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return run_config(config, scenario_name=args.config)
     except Exception as exc:  # noqa: BLE001 - surface anything with context
+        traceback.print_exc()
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -2,15 +2,19 @@
 
 Every per-packet sample (an RTT per ACK, a goodput record per delivered
 segment) is a ``(time_us, value)`` pair of integers held in a ``Series``:
-two ``array('q')`` columns, 16 bytes a sample instead of a tuple of two
-boxed ints. Samples are appended at the simulator clock, which never
-decreases, so each ``times`` column is sorted and windows over it are
-binary searches.
+two 32-bit unsigned ``array('I')`` columns, 8 bytes a sample instead of a
+tuple of two boxed ints. A column widens to ``array('q')`` at the first
+value that does not fit (negative, or 2**32 and up; 2**32 microseconds is
+71 minutes), so samples stay exact at any int64 magnitude. Samples are appended at the
+simulator clock, which never decreases, so each ``times`` column is sorted
+and windows over it are binary searches.
 
 The CSV artifact is the stable machine-readable contract:
 ``series,time_s,value,unit`` with six-decimal simulated seconds. Throughput
 is application goodput delivered at the server, in 100 ms tumbling windows.
-``write_csv`` streams its rows to the file as they are formatted.
+``write_csv`` streams its rows to the file as they are formatted; the
+throughput rows come from a lazy window iterator, so no list of windows is
+built either.
 """
 
 from __future__ import annotations
@@ -29,23 +33,33 @@ CSV_HEADER = "series,time_s,value,unit"
 
 
 class Series:
-    """Append-only ``(time_us, value)`` integer samples in two int64 columns.
+    """Append-only ``(time_us, value)`` integer samples in two columns.
 
-    Iterates, indexes and compares as the sequence of its pairs. Times must
-    be appended in non-decreasing order for ``sum_between``.
+    Each column starts as a 4-byte unsigned ``array('I')``. The first value
+    that does not fit widens that column alone to an 8-byte ``array('q')``,
+    so a run whose times and values stay in ``[0, 2**32)`` holds 8 bytes a
+    sample and any value in ``[-2**63, 2**63)`` is kept exactly. Iterates,
+    indexes and compares as the sequence of its pairs. Times must be
+    appended in non-decreasing order for ``sum_between``.
     """
 
     __slots__ = ("times", "values")
 
     def __init__(self, pairs: Iterable[Tuple[int, int]] = ()) -> None:
-        self.times = array("q")
-        self.values = array("q")
+        self.times = array("I")
+        self.values = array("I")
         for t, v in pairs:
             self.append(t, v)
 
     def append(self, t: int, v: int) -> None:
-        self.times.append(t)
-        self.values.append(v)
+        try:
+            self.times.append(t)
+        except OverflowError:
+            self.times = _widened(self.times, t)
+        try:
+            self.values.append(v)
+        except OverflowError:
+            self.values = _widened(self.values, v)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -70,6 +84,13 @@ class Series:
         lo = bisect_left(times, start_us)
         hi = bisect_left(times, end_us, lo)
         return sum(self.values[lo:hi])
+
+
+def _widened(column: array, x: int) -> array:
+    """``column`` copied into an int64 array, with ``x`` appended."""
+    wide = array("q", column)
+    wide.append(x)
+    return wide
 
 
 class ComparisonError(ValueError):
@@ -115,15 +136,20 @@ class MetricsTrace:
 
     # -- derived series ----------------------------------------------------
 
-    def throughput_samples(self) -> List[Tuple[int, float]]:
-        """Goodput per tumbling window from t=0 through the last delivery."""
+    def throughput_windows(self) -> Iterator[Tuple[int, float]]:
+        """Goodput per tumbling window from t=0 through the last delivery,
+        one ``(start_us, bits_per_s)`` window at a time."""
         deliveries = self.deliveries
         if not deliveries:
-            return []
+            return
         n_windows = deliveries.times[-1] // WINDOW_US + 1
         scale = US_PER_S / WINDOW_US
-        return [(t, deliveries.sum_between(t, t + WINDOW_US) * scale)
-                for t in range(0, n_windows * WINDOW_US, WINDOW_US)]
+        for t in range(0, n_windows * WINDOW_US, WINDOW_US):
+            yield t, deliveries.sum_between(t, t + WINDOW_US) * scale
+
+    def throughput_samples(self) -> List[Tuple[int, float]]:
+        """``throughput_windows`` as a list."""
+        return list(self.throughput_windows())
 
     def goodput_between(self, start_us: int, end_us: int) -> float:
         """Exact goodput (bits/s) over [start_us, end_us)."""
@@ -161,7 +187,7 @@ class MetricsTrace:
         yield CSV_HEADER
         yield from _us_rows("rtt_client", self.rtt_client)
         yield from _us_rows("rtt_server", self.rtt_server)
-        for t, bps in self.throughput_samples():
+        for t, bps in self.throughput_windows():
             yield f"throughput,{_seconds(t)},{bps:.6f},bps"
         for h in self.handoffs:
             delay = h.switchover_delay_us

@@ -390,11 +390,8 @@ class Network:
         self.link_drops += 1
 
     # Simulated time never decreases, so the latest delivery is the last one.
-    # The columns are appended directly: no Series.append frame per segment.
     def note_goodput(self, now: int, payload_len: int) -> None:
-        deliveries = self.deliveries
-        deliveries.times.append(now)
-        deliveries.values.append(payload_len * 8)
+        self.deliveries.append(now, payload_len * 8)
         self.last_delivery_us = now
 
     def note_delivery(self, now: int) -> None:

@@ -1,6 +1,7 @@
 """Command-line runner: artifacts, exit codes, environment override."""
 
-from sdnmob.cli import EXIT_CONFIG, EXIT_OK, main
+from sdnmob import cli
+from sdnmob.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 MINIMAL_SDN = """\
 [topology]
@@ -85,3 +86,18 @@ class TestRunCommand:
         rc = main(["run", str(config), "--mode", "sdn", "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert f"{config}:10: bad time for at: 'nan'" in capsys.readouterr().err
+
+    def test_run_error_prints_traceback_and_exits_runtime(self, tmp_path,
+                                                          monkeypatch, capsys):
+        def broken_run(net, events):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(cli, "run_scenario", broken_run)
+        rc = main(["run", "handoff_basic", "--mode", "sdn",
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in broken_run" in err
+        assert "RuntimeError: simulated fault" in err
+        assert err.endswith("run failed: simulated fault\n")

@@ -1,7 +1,9 @@
 """Metrics trace: sample series, CSV contract, window math, steady-state
 helpers."""
 
-from hypothesis import given, strategies as st
+from array import array
+
+from hypothesis import example, given, strategies as st
 
 from sdnmob.sim.metrics import (
     CSV_HEADER,
@@ -21,6 +23,14 @@ def make_trace(**kwargs):
     return MetricsTrace(**defaults)
 
 
+def int64_copy(series):
+    """The same pairs in columns that are int64 from the start."""
+    wide = Series()
+    wide.times = array("q", series.times)
+    wide.values = array("q", series.values)
+    return wide
+
+
 class TestSeries:
     def test_reads_as_its_pairs(self):
         pairs = [(0, 7), (5, -3), (5, 2**62)]
@@ -35,9 +45,57 @@ class TestSeries:
         assert series != Series(pairs[:2])
         assert Series() == Series() and not Series()
 
-    def test_columns_are_int64(self):
-        series = Series([(1, 2)])
+    def test_columns_start_as_four_byte_unsigned(self):
+        for series in (Series(), Series([(1, 2)])):
+            for column in (series.times, series.values):
+                assert column.typecode == "I" and column.itemsize == 4
+
+    def test_each_column_widens_only_at_first_value_that_does_not_fit(self):
+        series = Series([(0, 0), (2**32 - 1, 2**32 - 1)])
+        assert series.times.typecode == series.values.typecode == "I"
+        series.append(2**32, 5)
+        assert series.times.typecode == "q" and series.values.typecode == "I"
+        series.append(2**32 + 1, -1)
         assert series.times.typecode == series.values.typecode == "q"
+        assert list(series) == [(0, 0), (2**32 - 1, 2**32 - 1),
+                                (2**32, 5), (2**32 + 1, -1)]
+        values_first = Series([(3, 2**40)])
+        assert values_first.times.typecode == "I"
+        assert values_first.values.typecode == "q"
+
+    @given(
+        st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
+                           st.integers(-2**63, 2**63 - 1)), max_size=30),
+        st.integers(-2**63, 2**63 - 1),
+        st.integers(-2**63, 2**63 - 1),
+    )
+    @example([(0, 1), (2**32 - 1, 2**32 - 1), (2**32, 2**32), (2**63 - 1, -2**63)],
+             0, 2**63 - 1)
+    @example([(-5, 3), (7, -2**63)], -2**63, 8)
+    def test_exact_across_widening(self, raw, start, end):
+        """Any int64 pairs: the series reads as its pair list, window sums
+        equal the linear sum across the widening point, and the CSV rows
+        equal those of a series that was int64 from the start."""
+        times = sorted(t for t, _ in raw)
+        pairs = [(t, v) for t, (_, v) in zip(times, raw)]
+        series = Series(pairs)
+        assert list(series) == pairs and len(series) == len(pairs)
+        assert [series[i] for i in range(len(pairs))] == pairs
+        assert series.sum_between(start, end) == sum(
+            v for t, v in pairs if start <= t < end)
+
+        wide = int64_copy(series)
+        assert series == wide
+        # Deliveries keep small sorted times (a window per 100 ms from 0)
+        # but take the drawn values, so the throughput rows widen too.
+        small = Series((i * WINDOW_US, v) for i, (_, v) in enumerate(pairs))
+        small_wide = int64_copy(small)
+        assert small == small_wide
+        narrow_rows = make_trace(rtt_client=series, rtt_server=series,
+                                 deliveries=small).csv_rows()
+        wide_rows = make_trace(rtt_client=wide, rtt_server=wide,
+                               deliveries=small_wide).csv_rows()
+        assert narrow_rows == wide_rows
 
 
 class TestCsv:
