@@ -147,10 +147,6 @@ class MetricsTrace:
         for t in range(0, n_windows * WINDOW_US, WINDOW_US):
             yield t, deliveries.sum_between(t, t + WINDOW_US) * scale
 
-    def throughput_samples(self) -> List[Tuple[int, float]]:
-        """``throughput_windows`` as a list."""
-        return list(self.throughput_windows())
-
     def goodput_between(self, start_us: int, end_us: int) -> float:
         """Exact goodput (bits/s) over [start_us, end_us)."""
         if end_us <= start_us:

@@ -124,7 +124,7 @@ class TestAcceptance:
             handoff = trace.handoffs[0]
             detach = handoff.detach_us
             delay = handoff.switchover_delay_us
-            windows = dict(trace.throughput_samples())
+            windows = dict(trace.throughput_windows())
             steady_windows = [bps for start, bps in windows.items()
                               if US_PER_S <= start and start + WINDOW_US <= detach]
             assert len(steady_windows) >= 5

@@ -145,7 +145,7 @@ class TestWindows:
             (WINDOW_US + 1, 300),                   # window 1
             (3 * WINDOW_US + 5, 500),               # window 3 (2 empty)
         ]))
-        samples = trace.throughput_samples()
+        samples = list(trace.throughput_windows())
         assert [b for _, b in samples] == [
             200 * US_PER_S / WINDOW_US,
             300 * US_PER_S / WINDOW_US,
@@ -181,7 +181,7 @@ class TestWindows:
 
     def test_empty_trace(self):
         trace = make_trace()
-        assert trace.throughput_samples() == []
+        assert list(trace.throughput_windows()) == []
         assert trace.steady_state_goodput() == 0.0
         assert trace.mean_rtt_s("client") is None
 

@@ -367,7 +367,7 @@ class TestSimInvariants:
     def test_throughput_never_exceeds_bottleneck(self, traces, bundled_configs):
         for (scenario, _), trace in traces.items():
             cap = bundled_configs[scenario].topology.link_bandwidth_bps
-            for _, bps in trace.throughput_samples():
+            for _, bps in trace.throughput_windows():
                 assert bps <= cap
 
     def test_switchover_delay_nonnegative(self, traces):

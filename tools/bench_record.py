@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Record the benchmark of one tree in ``BENCH_<pr>.json``.
 
-    python3 tools/bench_record.py --pr 13 [--seconds 35] [--repeats 3]
+    python3 tools/bench_record.py --pr 13
 
 Run from anywhere inside a source checkout. For each workload, at the
-benchmark's default seed, it runs ``perfbench/run.py --trace 0``
-``--repeats`` times, one process after the other, and ``--trace 1`` once.
+benchmark's default seed and run length, it runs ``perfbench/run.py
+--trace 0`` three times, one process after the other, and ``--trace 1``
+once.
 It writes ``BENCH_<pr>.json`` at the root of the checkout with:
 
 - ``end_to_end``: each ``--trace 0`` metric's runs, median and quartiles;
@@ -33,6 +34,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench", "run.py")
 WORKLOADS = ("bulk_handoff", "roaming_echo", "many_clients")
 MODES = ("sdn", "pmip")
+REPEATS = 3  # --trace 0 runs per workload
 
 
 def _git(*args: str) -> str:
@@ -40,23 +42,21 @@ def _git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def _bench(workload: str, seconds: float, trace: int) -> dict:
+def _bench(workload: str, trace: int) -> dict:
     """One benchmark process; its report is the last line of its output."""
-    cmd = [sys.executable, BENCH, "--workload", workload,
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, BENCH, "--workload", workload, "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def _spread(runs: list) -> dict:
-    q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive")
-                      if len(runs) > 1 else runs * 3)
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"runs": runs, "median": median, "q1": q1, "q3": q3}
 
 
-def record(workload: str, seconds: float, repeats: int) -> dict:
-    plain = [_bench(workload, seconds, 0) for _ in range(repeats)]
-    traced = _bench(workload, seconds, 1)
+def record(workload: str) -> dict:
+    plain = [_bench(workload, 0) for _ in range(REPEATS)]
+    traced = _bench(workload, 1)
     metrics = traced["metrics"]
     end_to_end = {
         key: dict(_spread([r["metrics"][key]["value"] for r in plain]), unit=m["unit"])
@@ -74,25 +74,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True,
                         help="number in the output file name")
-    parser.add_argument("--seconds", type=float, default=35)
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="--trace 0 runs per workload")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
 
     report = {
         "commit": _git("rev-parse", "HEAD"),
         "modified": _git("status", "--porcelain", "--untracked-files=no").splitlines(),
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "seconds": args.seconds,
-        "repeats": args.repeats,
         "workloads": {},
     }
     for workload in WORKLOADS:
         print(f"recording {workload}", file=sys.stderr)
-        report["workloads"][workload] = record(workload, args.seconds, args.repeats)
+        report["workloads"][workload] = record(workload)
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
