@@ -224,8 +224,10 @@ def _parse_event(value: str, source: str, line: int) -> ScenarioEvent:
     return _make(cls, table, _attrs(tokens, source, line), f"event {kind!r}", source, line)
 
 
-def parse_scenario(text: str, source: str = "<config>") -> Tuple[
+def parse_scenario(text: str, source: str = "<config>", mode: str = "sdn") -> Tuple[
         TopologyConfig, List[ScenarioEvent], Optional[TunnelConfig]]:
+    """The scenario in ``text``; its events must suit every run ``mode``
+    includes."""
     sections = _parse_sections(text, source)
     zone_entries = sections["zones"]
     zones = tuple(
@@ -237,18 +239,18 @@ def parse_scenario(text: str, source: str = "<config>") -> Tuple[
     topology = _make(TopologyConfig, _TOPOLOGY, topo, "[topology]", source,
                      _last_line(topo), zone_entries, zones=zones)
 
-    event_lines = [line for line, _ in sections["events"].values()]
-    events = [_parse_event(value, source, line)
-              for line, value in sections["events"].values()]
-    try:
-        validate_events(topology, events)
-    except ScenarioError as exc:
-        raise ConfigError(source, event_lines[exc.index], str(exc)) from None
-
     tunnel: Optional[TunnelConfig] = None
     if "tunnel" in sections:
         entries = sections["tunnel"]
         tunnel = _make(TunnelConfig, _TUNNEL, entries, "[tunnel]", source, _last_line(entries))
+
+    event_lines = [line for line, _ in sections["events"].values()]
+    events = [_parse_event(value, source, line)
+              for line, value in sections["events"].values()]
+    try:
+        validate_events(topology, events, None if mode == "sdn" else tunnel)
+    except ScenarioError as exc:
+        raise ConfigError(source, event_lines[exc.index], str(exc)) from None
     return topology, events, tunnel
 
 
@@ -259,7 +261,7 @@ def load_config(path: str, mode: str = "both", output_dir: str = "out",
         raise ConfigError(path, 0, f"mode must be one of {MODES}, got {mode!r}")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    topology, events, tunnel = parse_scenario(text, source=path)
+    topology, events, tunnel = parse_scenario(text, path, mode)
     if seed_override is not None:
         topology = dataclasses.replace(topology, seed=seed_override)
     if mode != "sdn" and tunnel is None:

@@ -137,13 +137,6 @@ class MobilityServiceTable:
         if self.uid_by_real_ip.get(real_ip) == record.uid:
             del self.uid_by_real_ip[real_ip]
 
-    def snapshot(self) -> Dict[str, tuple]:
-        """Value snapshot for before/after comparisons in tests and traces."""
-        return {
-            uid.text: (str(r.real_ip), str(r.virtual_ip), r.last_seen)
-            for uid, r in self.records.items()
-        }
-
     def check_invariants(self) -> None:
         vpips = [r.virtual_ip for r in self.records.values()]
         assert len(set(vpips)) == len(vpips), "virtual addresses must be distinct"
@@ -289,9 +282,6 @@ class MobilityController:
         return actions
 
     # -- misc --------------------------------------------------------------
-
-    def lookup(self, uid: Uid) -> Optional[MobilityRecord]:
-        return self.mst.lookup(uid)
 
     def handle_packet_in(self, pkt, now: int) -> List[ControlAction]:
         """Repair path for escalated packets.

@@ -1,4 +1,5 @@
-"""Run metrics: RTT series, goodput, handoff delays, losses and resets.
+"""Run metrics: RTT series, goodput, handoff delays, losses, resets and the
+SDN flow log.
 
 Every per-packet sample (an RTT per ACK, a goodput record per delivered
 segment) is a ``(time_us, value)`` pair of integers held in a ``Series``:
@@ -23,8 +24,10 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple, Union
 
+from ..addressing import Uid
+from ..flow_engine import FlowRule
 from ..units import US_PER_S
 
 WINDOW_US = 100_000  # tumbling throughput window
@@ -52,14 +55,23 @@ class Series:
             self.append(t, v)
 
     def append(self, t: int, v: int) -> None:
+        """Append one pair. A time or value outside int64 raises
+        ``OverflowError`` and leaves both columns as they were."""
+        times = self.times
         try:
-            self.times.append(t)
+            times.append(t)
         except OverflowError:
-            self.times = _widened(self.times, t)
+            times = _widened(times, t)
         try:
             self.values.append(v)
         except OverflowError:
-            self.values = _widened(self.values, v)
+            try:
+                self.values = _widened(self.values, v)
+            except OverflowError:
+                if times is self.times:
+                    times.pop()
+                raise
+        self.times = times
 
     def __len__(self) -> int:
         return len(self.times)
@@ -109,11 +121,25 @@ class HandoffRecord:
         return self.first_delivery_us - self.detach_us
 
 
-@dataclass
-class MstTransition:
+# The SDN control plane's flow log: one record per rule the core installs
+# or expires and per client the controller evicts, in simulated-time order.
+class FlowInstalled(NamedTuple):
     at_us: int
-    before: Dict[str, tuple]
-    after: Dict[str, tuple]
+    uid: Uid
+    rule: FlowRule  # as installed in the core's table
+
+
+class FlowExpired(NamedTuple):
+    at_us: int
+    rule: FlowRule
+
+
+class ClientEvicted(NamedTuple):
+    at_us: int
+    uid: Uid
+
+
+FlowEvent = Union[FlowInstalled, FlowExpired, ClientEvicted]
 
 
 @dataclass
@@ -130,8 +156,7 @@ class MetricsTrace:
     resets: int = 0
     server_observed_sources: Set[str] = field(default_factory=set)
     counters: Dict[str, int] = field(default_factory=dict)
-    flow_events: List[Tuple[int, str]] = field(default_factory=list)
-    mst_transitions: List[MstTransition] = field(default_factory=list)
+    flow_events: List[FlowEvent] = field(default_factory=list)
     end_of_traffic_us: int = 0
 
     # -- derived series ----------------------------------------------------
@@ -189,9 +214,6 @@ class MetricsTrace:
             delay = h.switchover_delay_us
             if delay is not None:
                 yield f"switchover_delay,{_seconds(h.detach_us)},{_seconds(delay)},s"
-
-    def csv_rows(self) -> List[str]:
-        return list(self.csv_lines())
 
 
 # Microseconds (n >= 0) print as seconds with six decimals from integer

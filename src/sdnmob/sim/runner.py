@@ -70,8 +70,11 @@ def events_fingerprint(events: List[ScenarioEvent]) -> Tuple[str, ...]:
     return tuple(repr(e) for e in events)
 
 
-def validate_events(cfg: TopologyConfig, events: List[ScenarioEvent]) -> None:
-    """Static checks: ordering, zone references, traffic termination."""
+def validate_events(cfg: TopologyConfig, events: List[ScenarioEvent],
+                    tunnel: Optional[TunnelConfig] = None) -> None:
+    """Static checks: ordering, zone references, traffic termination. With
+    ``tunnel`` the events must also suit a tunnel-mode run, where address
+    acquisition waits out the binding update first."""
     last_at = 0
     for i, e in enumerate(events):
         if e.at_us < 0:
@@ -80,6 +83,7 @@ def validate_events(cfg: TopologyConfig, events: List[ScenarioEvent]) -> None:
             raise ScenarioError(f"events not sorted by time at {e}", i)
         last_at = e.at_us
     zones = {z.zone_id: z for z in cfg.zones}
+    bud = 0 if tunnel is None else tunnel.resolved_binding_delay(cfg.control_delay_us)
     cur_zone = cfg.zones[0].zone_id
     prev_move: Optional[MoveClient] = None
     for i, e in enumerate(events):
@@ -89,11 +93,11 @@ def validate_events(cfg: TopologyConfig, events: List[ScenarioEvent]) -> None:
             if e.zone_id == cur_zone:
                 raise ScenarioError(f"move to current zone {e.zone_id!r} at t={e.at_us}", i)
             if prev_move is None:
-                if e.at_us <= cfg.zones[0].dhcp_latency:
+                if e.at_us <= bud + cfg.zones[0].dhcp_latency:
                     raise ScenarioError("first move overlaps initial attach", i)
             else:
                 gap = e.at_us - prev_move.at_us
-                if gap <= zones[prev_move.zone_id].dhcp_latency:
+                if gap <= bud + zones[prev_move.zone_id].dhcp_latency:
                     raise ScenarioError(
                         f"moves at t={prev_move.at_us} and t={e.at_us} overlap: "
                         "only one mobility event may be pending", i
@@ -181,7 +185,7 @@ def run_scenario(net: Network, events: List[ScenarioEvent]) -> MetricsTrace:
     if net.ran:
         raise ScenarioError("network already ran a scenario; build a fresh one")
     net.ran = True
-    validate_events(net.cfg, events)
+    validate_events(net.cfg, events, net.tunnel if net.mode is Mode.PMIP else None)
     net.traffic_stopped = False
     net.scenario_events_remaining = len(events) + 1  # + initial attach
     home = net.cfg.zones[0].zone_id

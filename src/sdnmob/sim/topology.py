@@ -47,7 +47,8 @@ from ..tap_server import (
 from ..units import US_PER_S
 from .events import Simulator
 from .links import Link
-from .metrics import HandoffRecord, MetricsTrace, MstTransition, Series
+from .metrics import (ClientEvicted, FlowEvent, FlowExpired, FlowInstalled, HandoffRecord,
+                      MetricsTrace, Series)
 from .transport import TransportSide
 
 EXPIRY_TICK_US = 1 * US_PER_S
@@ -310,8 +311,7 @@ class Network:
         self.rtt_server = Series()
         self.deliveries = Series()
         self.handoffs: List[HandoffRecord] = []
-        self.mst_transitions: List[MstTransition] = []
-        self.flow_events: List[Tuple[int, str]] = []
+        self.flow_events: List[FlowEvent] = []
         self.observed_sources: set = set()
         self.resets = 0
         # Packet fates, folded into the trace's counters by finalize.
@@ -525,7 +525,6 @@ class Network:
             server_observed_sources=set(self.observed_sources),
             counters=counters,
             flow_events=list(self.flow_events),
-            mst_transitions=list(self.mst_transitions),
             end_of_traffic_us=self.last_delivery_us,
         )
         return trace
@@ -540,7 +539,6 @@ class SdnNetwork(Network):
 
     def __init__(self, cfg: TopologyConfig):
         super().__init__(cfg)
-        self._pending_mst_capture: Optional[Tuple[int, Dict[str, tuple]]] = None
         self.controller = MobilityController(
             cfg.vpip_pool,
             self.rng,
@@ -576,17 +574,7 @@ class SdnNetwork(Network):
 
     def _deliver_report(self, wire: str) -> None:
         report = HostReport.parse(wire)
-        capture = self._pending_mst_capture
-        actions = self.controller.handle_host_report(report, self.sim.now)
-        if capture is not None and report.uid == self.client.uid:
-            record = self.controller.mst.lookup(self.client.uid)
-            before_rip = capture[1].get(self.client.uid.text, (None,))[0]
-            if record is not None and str(record.real_ip) != before_rip:
-                self.mst_transitions.append(
-                    MstTransition(capture[0], capture[1], self.controller.mst.snapshot())
-                )
-                self._pending_mst_capture = None
-        self._dispatch_actions(actions)
+        self._dispatch_actions(self.controller.handle_host_report(report, self.sim.now))
 
     def _dispatch_actions(self, actions: List[ControlAction]) -> None:
         delay = self.cfg.control_delay_us
@@ -596,14 +584,13 @@ class SdnNetwork(Network):
             elif isinstance(action, RefreshFlows):
                 self._control_send(delay, self._apply_refresh, action)
             elif isinstance(action, EvictClient):
-                self.flow_events.append((self.sim.now, f"evict {action.uid}"))
+                self.flow_events.append(ClientEvicted(self.sim.now, action.uid))
 
     def _apply_install(self, action: InstallFlows) -> None:
         now = self.sim.now
-        self.switch.install(action.snat, now)
-        self.switch.install(action.dnat, now)
-        self.flow_events.append((now, f"install snat {action.snat.match.src_ip}"))
-        self.flow_events.append((now, f"install dnat {action.dnat.match.dst_ip}"))
+        for rule in (action.snat, action.dnat):
+            installed = self.switch.install(rule, now)
+            self.flow_events.append(FlowInstalled(now, action.uid, installed))
         for decision in self.switch.drain(now):
             self._port_links[decision.out_port].send(decision.packet)
 
@@ -630,20 +617,12 @@ class SdnNetwork(Network):
         actions = self.controller.handle_packet_in(pkt, self.sim.now)
         self._dispatch_actions(actions)
 
-    def detach_client(self) -> None:
-        # The mobility table as it stood at detach, kept until the client's
-        # next report moves it.
-        self._pending_mst_capture = (self.sim.now, self.controller.mst.snapshot())
-        super().detach_client()
-
     # -- ticks -----------------------------------------------------------------------
 
     def _expiry_tick(self) -> None:
         now = self.sim.now
         for rule in self.switch.table.expire(now):
-            kind = "snat" if rule.match.src_ip is not None else "dnat"
-            key = rule.match.src_ip if kind == "snat" else rule.match.dst_ip
-            self.flow_events.append((now, f"expired {kind} {key}"))
+            self.flow_events.append(FlowExpired(now, rule))
         window = int(LIVENESS_WINDOW_FACTOR * self.cfg.keepalive_interval_us)
         self._dispatch_actions(self.controller.evict_stale(now, window))
         if not self.finished():

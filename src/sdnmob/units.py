@@ -12,7 +12,3 @@ US_PER_MS = 1_000
 def usec(seconds: float) -> int:
     """Convert seconds to integer microseconds (round half to even)."""
     return round(seconds * US_PER_S)
-
-
-def seconds(us: int) -> float:
-    return us / US_PER_S

@@ -4,7 +4,8 @@ One test per criterion, each printing a PASS/FAIL line. Tolerances are
 pinned here:
 
   1. session continuity            exact (resets = losses = 0, one source)
-  2. virtual-address constancy     exact snapshot diff
+  2. virtual-address constancy     exact, on the installed flows: one vpIP,
+                                   a new rIP per move
   3. switch-over delay ordering    strict <, budgets to within 1 us
                                    (the event quantum is one microsecond)
   4. tunnel overhead law           ratio within 1% over >= 1000 packets
@@ -28,13 +29,14 @@ from sdnmob.controller import HostReport, WireFormatError
 from sdnmob.flow_engine import FlowTable, apply_actions, dnat_rule, snat_rule
 from sdnmob.packet import INNER_HEADER_BYTES, Packet, PacketKind
 from sdnmob.sim import Mode, MoveClient, build_topology, run_pmip_baseline, run_scenario
-from sdnmob.sim.metrics import WINDOW_US
+from sdnmob.sim.metrics import WINDOW_US, FlowExpired, FlowInstalled
 from sdnmob.sim.runner import pmip_switchover_budget_us, sdn_switchover_budget_us
 from sdnmob.sim.topology import TopologyConfig
 from sdnmob.tap_server import TapServer, ZoneConfig
 from sdnmob.units import US_PER_S, usec
 
 CLIENT_UID_TEXT = "aa:bb:cc:00:00:01"
+CLIENT_UID = Uid(CLIENT_UID_TEXT)
 QUANTUM_US = 1  # integer-microsecond event scheduling
 
 
@@ -64,17 +66,20 @@ class TestAcceptance:
                 trace = traces[(scenario, "sdn")]
                 moves = [e for e in bundled_configs[scenario].events
                          if isinstance(e, MoveClient)]
-                assert len(trace.mst_transitions) == len(moves)
-                for transition in trace.mst_transitions:
-                    before, after = transition.before, transition.after
-                    assert set(before) == set(after)
-                    for uid, (rip_b, vpip_b, _seen_b) in before.items():
-                        rip_a, vpip_a, _seen_a = after[uid]
-                        assert vpip_a == vpip_b, "virtual address changed"
-                        if uid == CLIENT_UID_TEXT:
-                            assert rip_a != rip_b, "mover's real address must change"
-                        else:
-                            assert after[uid] == before[uid]
+                rules = [e.rule for e in trace.flow_events
+                         if isinstance(e, FlowInstalled) and e.uid == CLIENT_UID]
+                snat = [r for r in rules if r.match.src_ip is not None]
+                dnat = [r for r in rules if r.match.dst_ip is not None]
+                rips = {r.match.src_ip for r in snat}
+                # Every DNAT maps the one vpIP to one of the client's rIPs,
+                # and every SNAT maps an rIP back to that vpIP.
+                assert dnat and len({r.match.dst_ip for r in dnat}) == 1, \
+                    "virtual address changed"
+                vpip = dnat[0].match.dst_ip
+                assert {r.new_addr for r in snat} == {vpip}
+                assert {r.new_addr for r in dnat} == rips
+                assert len(rips) == len(moves) + 1, \
+                    "each move must give the client a new real address"
 
     def test_ac3_switchover_delay_ordering_and_budgets(
             self, traces, bundled_configs):
@@ -232,8 +237,9 @@ class TestAcceptance:
                       MoveClient(usec(5), "z2"), Stop(usec(12))]
             trace = run_scenario(build_topology(cfg), events)
             assert trace.losses == 0 and trace.resets == 0
-            expiries = [t for t, ev in trace.flow_events
-                        if ev.startswith("expired snat 10.1.")]
+            expiries = [e.at_us for e in trace.flow_events
+                        if isinstance(e, FlowExpired) and e.rule.match.src_ip
+                        and e.rule.match.src_ip in zones[0].dhcp_range]
             assert expiries
             detach = trace.handoffs[0].detach_us
             assert expiries[0] > detach + usec(2) - usec(0.2)
@@ -293,7 +299,7 @@ class TestAcceptance:
 
                     first = one_run(run.topology)
                     second = one_run(run.topology)
-                    assert first.csv_rows() == second.csv_rows(), \
+                    assert list(first.csv_lines()) == list(second.csv_lines()), \
                         f"{name}/{mode.value}: artifacts differ across runs"
                     reseeded_topology = TopologyConfig(
                         zones=run.topology.zones,

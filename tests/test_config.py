@@ -201,6 +201,24 @@ class TestEventListLocation:
         assert str(err.value).startswith(f"ev.ini:{9 + bad_index}: ")
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("lines,bad_index", [
+        ((ECHO, "move_client at=0.105 zone=zone2", "stop at=2"), 1),
+        ((ECHO, "move_client at=1 zone=zone2", "move_client at=1.105 zone=zone1",
+          "stop at=2"), 2),
+    ])
+    def test_tunnel_modes_count_the_binding_update(self, tmp_path, lines, bad_index):
+        """A tunnel-mode client acquires its address 100 ms (DHCP) after a
+        10 ms binding update, so a move 105 ms after an attach suits SDN
+        mode alone."""
+        path = tmp_path / "ev.ini"
+        path.write_text(events_text(*lines) + "\n[tunnel]\n")
+        assert load_config(str(path), mode="sdn").tunnel == TunnelConfig()
+        for mode in ("pmip", "both"):
+            with pytest.raises(ConfigError) as err:
+                load_config(str(path), mode=mode)
+            assert str(err.value).startswith(f"{path}:{9 + bad_index}: ")
+            assert "overlap" in str(err.value)
+
 
 durations_us = st.integers(0, 10**12)
 
@@ -222,19 +240,21 @@ def run_configs(draw):
         idle_timeout_us=draw(durations_us),
         keepalive_interval_us=draw(durations_us),
     )
+    tunnel = draw(st.none() | st.builds(
+        TunnelConfig, st.integers(0, 10**6), st.none() | durations_us))
+    mode = "sdn" if tunnel is None else draw(st.sampled_from(MODES))
+    # A tunnel-mode attach waits out the binding update before DHCP.
+    bud = 0 if mode == "sdn" else tunnel.resolved_binding_delay(topology.control_delay_us)
     at = draw(durations_us)
     payload = draw(st.integers(1, 9000))
     events = [StartEcho(at, draw(st.integers(1, 10**9)), draw(st.integers(1, 9000))),
               StartBulkTransfer(at, draw(st.integers(payload, 10**12)), payload)]
     current = zones[0]
     for _ in range(draw(st.integers(1, 4))):
-        at += current.dhcp_latency + draw(st.integers(1, 10**9))
+        at += bud + current.dhcp_latency + draw(st.integers(1, 10**9))
         current = draw(st.sampled_from([z for z in zones if z is not current]))
         events.append(MoveClient(at, current.zone_id))
     events.append(Stop(at + draw(durations_us)))
-    tunnel = draw(st.none() | st.builds(
-        TunnelConfig, st.integers(0, 10**6), st.none() | durations_us))
-    mode = "sdn" if tunnel is None else draw(st.sampled_from(MODES))
     return RunConfig(topology, events, mode, tunnel, draw(st.sampled_from(["out", "x/y"])))
 
 

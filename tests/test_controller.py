@@ -79,7 +79,7 @@ class TestHostReports:
         assert len(actions) == 1
         install = actions[0]
         assert isinstance(install, InstallFlows)
-        record = ctrl.lookup(UID1)
+        record = ctrl.mst.lookup(UID1)
         assert record is not None
         assert record.real_ip == IPv4Address("10.1.0.5")
         assert record.virtual_ip in POOL
@@ -91,10 +91,10 @@ class TestHostReports:
     def test_zone_change_keeps_virtual_address(self):
         ctrl = make_controller()
         ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=0)
-        vpip = ctrl.lookup(UID1).virtual_ip
+        vpip = ctrl.mst.lookup(UID1).virtual_ip
         actions = ctrl.handle_host_report(
             HostReport(UID1, IPv4Address("10.2.0.9")), now=60)
-        record = ctrl.lookup(UID1)
+        record = ctrl.mst.lookup(UID1)
         assert record.real_ip == IPv4Address("10.2.0.9")
         assert record.virtual_ip == vpip
         assert record.last_seen == 60
@@ -109,7 +109,7 @@ class TestHostReports:
             HostReport(UID1, IPv4Address("10.1.0.5")), now=30)
         assert actions == [RefreshFlows(UID1)]
         assert len(ctrl.mst) == 1
-        assert ctrl.lookup(UID1).last_seen == 30
+        assert ctrl.mst.lookup(UID1).last_seen == 30
 
     def test_report_inside_virtual_pool_rejected(self):
         ctrl = make_controller()
@@ -139,7 +139,7 @@ class TestHostReports:
             model[uid] = rip
         assert set(ctrl.mst.records) == set(model)
         for uid, rip in model.items():
-            assert ctrl.lookup(uid).real_ip == rip
+            assert ctrl.mst.lookup(uid).real_ip == rip
         ctrl.mst.check_invariants()
 
     def test_address_reuse_displaces_previous_holder(self):
@@ -149,8 +149,8 @@ class TestHostReports:
             HostReport(UID2, IPv4Address("10.1.0.5")), now=50)
         assert actions[0] == EvictClient(UID1)
         assert isinstance(actions[1], InstallFlows)
-        assert ctrl.lookup(UID1) is None
-        assert ctrl.lookup(UID2).real_ip == IPv4Address("10.1.0.5")
+        assert ctrl.mst.lookup(UID1) is None
+        assert ctrl.mst.lookup(UID2).real_ip == IPv4Address("10.1.0.5")
         ctrl.mst.check_invariants()
 
     def test_moved_client_frees_its_old_address(self):
@@ -161,10 +161,10 @@ class TestHostReports:
         ctrl.handle_host_report(HostReport(UID1, old), now=0)
         ctrl.handle_host_report(HostReport(UID1, new), now=10)
         assert ctrl.mst.holder_of(old) is None
-        assert ctrl.mst.holder_of(new) is ctrl.lookup(UID1)
+        assert ctrl.mst.holder_of(new) is ctrl.mst.lookup(UID1)
         actions = ctrl.handle_host_report(HostReport(UID2, old), now=20)
         assert [type(a) for a in actions] == [InstallFlows]
-        assert ctrl.lookup(UID1).real_ip == new
+        assert ctrl.mst.lookup(UID1).real_ip == new
         ctrl.mst.check_invariants()
 
 
@@ -223,7 +223,7 @@ class TestEviction:
         assert len(ctrl.mst) == 0
         # the freed addresses allocate again
         ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=2002)
-        assert ctrl.lookup(UID1).virtual_ip in pool
+        assert ctrl.mst.lookup(UID1).virtual_ip in pool
 
     def test_empty_table_noop(self):
         ctrl = make_controller()
@@ -239,16 +239,16 @@ class TestLookupAndPacketIn:
 
     def test_lookup_present_and_absent(self):
         ctrl = make_controller()
-        assert ctrl.lookup(UID1) is None
+        assert ctrl.mst.lookup(UID1) is None
         ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=0)
-        assert ctrl.lookup(UID1).uid == UID1
+        assert ctrl.mst.lookup(UID1).uid == UID1
 
     def test_lookup_after_move_shows_new_rip_same_vpip(self):
         ctrl = make_controller()
         ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=0)
-        vpip = ctrl.lookup(UID1).virtual_ip
+        vpip = ctrl.mst.lookup(UID1).virtual_ip
         ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.2.0.9")), now=1)
-        record = ctrl.lookup(UID1)
+        record = ctrl.mst.lookup(UID1)
         assert (record.real_ip, record.virtual_ip) == (IPv4Address("10.2.0.9"), vpip)
 
     def test_packet_in_for_known_client_reinstalls(self):
@@ -293,7 +293,7 @@ class TestInvariants:
             for action in actions:
                 if isinstance(action, EvictClient):
                     expected_vpip.pop(action.uid, None)
-            record = ctrl.lookup(uid)
+            record = ctrl.mst.lookup(uid)
             if uid not in expected_vpip:
                 expected_vpip[uid] = record.virtual_ip
             assert record.virtual_ip == expected_vpip[uid]
@@ -308,7 +308,7 @@ class TestInvariants:
             ctrl_once.handle_host_report(HostReport(uid, rip), now=i)
             ctrl_twice.handle_host_report(HostReport(uid, rip), now=i)
             ctrl_twice.handle_host_report(HostReport(uid, rip), now=i)
-        assert ctrl_once.mst.snapshot() == ctrl_twice.mst.snapshot()
+        assert ctrl_once.mst.records == ctrl_twice.mst.records
 
     @given(report_streams())
     @settings(max_examples=100, deadline=None)
@@ -319,7 +319,7 @@ class TestInvariants:
             actions_a = ctrl_a.handle_host_report(HostReport(uid, rip), now=i)
             actions_b = ctrl_b.handle_host_report(HostReport(uid, rip), now=i)
             assert actions_a == actions_b
-        assert ctrl_a.mst.snapshot() == ctrl_b.mst.snapshot()
+        assert ctrl_a.mst.records == ctrl_b.mst.records
 
 
 def reference_rejection(addr, pool):

@@ -3,6 +3,7 @@ helpers."""
 
 from array import array
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from sdnmob.sim.metrics import (
@@ -63,6 +64,19 @@ class TestSeries:
         assert values_first.times.typecode == "I"
         assert values_first.values.typecode == "q"
 
+    @pytest.mark.parametrize("t,v", [
+        (5, 2**63), (5, -2**63 - 1), (2**63, 2), (-2**63 - 1, 2),
+        (2**32, 2**63),  # the time alone would widen its column
+        (2**64, 2**64),
+    ])
+    def test_append_outside_int64_changes_nothing(self, t, v):
+        series = Series([(1, 2)])
+        with pytest.raises(OverflowError):
+            series.append(t, v)
+        assert len(series) == 1 and list(series) == [(1, 2)]
+        assert len(series.times) == len(series.values) == 1
+        assert series.times.typecode == series.values.typecode == "I"
+
     @given(
         st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
                            st.integers(-2**63, 2**63 - 1)), max_size=30),
@@ -91,10 +105,10 @@ class TestSeries:
         small = Series((i * WINDOW_US, v) for i, (_, v) in enumerate(pairs))
         small_wide = int64_copy(small)
         assert small == small_wide
-        narrow_rows = make_trace(rtt_client=series, rtt_server=series,
-                                 deliveries=small).csv_rows()
-        wide_rows = make_trace(rtt_client=wide, rtt_server=wide,
-                               deliveries=small_wide).csv_rows()
+        narrow_rows = list(make_trace(rtt_client=series, rtt_server=series,
+                                      deliveries=small).csv_lines())
+        wide_rows = list(make_trace(rtt_client=wide, rtt_server=wide,
+                                    deliveries=small_wide).csv_lines())
         assert narrow_rows == wide_rows
 
 
@@ -123,18 +137,19 @@ class TestCsv:
         float_form = f"{n_us / US_PER_S:.6f}"
         assert _seconds(n_us) == float_form
         trace = make_trace(rtt_client=Series([(t_us, n_us)]))
-        assert trace.csv_rows()[1] == f"rtt_client,{t_us / US_PER_S:.6f},{float_form},s"
+        row = list(trace.csv_lines())[1]
+        assert row == f"rtt_client,{t_us / US_PER_S:.6f},{float_form},s"
 
     def test_streamed_file_equals_rows(self, traces, tmp_path):
         path = tmp_path / "m.csv"
         for trace in traces.values():
             write_csv(trace, str(path))
-            assert path.read_text() == "\n".join(trace.csv_rows()) + "\n"
+            assert path.read_text() == "\n".join(trace.csv_lines()) + "\n"
 
     def test_series_vocabulary(self, traces):
         allowed = {"rtt_client", "rtt_server", "throughput", "switchover_delay"}
         for trace in traces.values():
-            for row in trace.csv_rows()[1:]:
+            for row in list(trace.csv_lines())[1:]:
                 assert row.split(",")[0] in allowed
 
 

@@ -1,6 +1,5 @@
 """Pinned inner counts of every bundled scenario in each mode: the trace
-counters, the number of flow events and mobility-table transitions, and
-the number of simulator events.
+counters, the number of flow events and the number of simulator events.
 
 The golden digests hash only the CSV and the summary, which hold none of
 these, so a change that alters what happens inside a run without altering
@@ -14,36 +13,35 @@ PINNED = {
     ("handoff_basic", "sdn"): (
         {"accepted": 2400, "buffer_drops": 0, "buffer_residue": 0,
          "consumed": 4, "retransmissions": 0, "transmissions": 2404},
-        16, 1, 9050),
+        16, 9050),
     ("handoff_basic", "pmip"): (
         {"accepted": 2400, "consumed": 4, "retransmissions": 0,
          "transmissions": 2404},
-        0, 0, 9008),
+        0, 9008),
     ("handoff_bulk", "sdn"): (
         {"accepted": 10011, "buffer_drops": 0, "buffer_residue": 0,
          "consumed": 4, "link_drops": 32, "retransmissions": 32,
          "transmissions": 10047},
-        28, 1, 30165),
+        28, 30165),
     ("handoff_bulk", "pmip"): (
         {"accepted": 10031, "consumed": 4, "host_drops": 21, "link_drops": 11,
          "retransmissions": 32, "transmissions": 10067},
-        0, 0, 30233),
+        0, 30233),
     ("ping_pong", "sdn"): (
         {"accepted": 1920, "buffer_drops": 0, "buffer_residue": 0,
          "consumed": 6, "retransmissions": 0, "transmissions": 1926},
-        24, 2, 7252),
+        24, 7252),
     ("ping_pong", "pmip"): (
         {"accepted": 1920, "consumed": 6, "retransmissions": 0,
          "transmissions": 1926},
-        0, 0, 7210),
+        0, 7210),
 }
 
 
 @pytest.mark.parametrize("key", sorted(PINNED), ids="/".join)
 def test_bundled_run_counts_are_pinned(key, bundled_runs):
-    counters, flow_events, mst_transitions, events = PINNED[key]
+    counters, flow_events, events = PINNED[key]
     net, trace = bundled_runs[key]
     assert trace.counters == counters
     assert len(trace.flow_events) == flow_events
-    assert len(trace.mst_transitions) == mst_transitions
     assert net.sim._seq == events

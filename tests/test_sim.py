@@ -25,12 +25,14 @@ from sdnmob.sim import (
     sdn_switchover_budget_us,
     pmip_switchover_budget_us,
 )
-from sdnmob.sim.metrics import ComparisonError
+from sdnmob.sim.metrics import ComparisonError, FlowExpired, FlowInstalled
 from sdnmob.sim.runner import move_client, validate_events
 from sdnmob.sim.runner import StartBulkTransfer
 from sdnmob.sim.topology import SERVER_ADDR, SERVER_UID, ConfigurationError
 from sdnmob.tap_server import ZoneConfig
 from sdnmob.units import US_PER_S, usec
+
+from campus import campus_network, campus_population, register
 
 
 def two_zone_cfg(**kwargs):
@@ -165,7 +167,7 @@ class TestMoveAndDhcp:
         net = build_topology(two_zone_cfg())
         events = [StartEcho(0, usec(0.05), 100), Stop(usec(3))]
         trace = run_scenario(net, events)
-        record = net.controller.lookup(net.client.uid)
+        record = net.controller.mst.lookup(net.client.uid)
         assert trace.server_observed_sources == {str(record.virtual_ip)}
         assert record.virtual_ip in net.cfg.vpip_pool
 
@@ -207,6 +209,32 @@ class TestEventValidation:
         with pytest.raises(ScenarioError, match="unknown zone 'z9'") as err:
             validate_events(two_zone_cfg(), events)
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("earlier", [(), (usec(1),)])
+    def test_tunnel_mode_counts_the_binding_update(self, earlier):
+        """A tunnel-mode client acquires its address 100 ms (DHCP) after a
+        10 ms binding update (2 x 5 ms control delay). A move 105 ms after
+        the attach before it suits SDN mode alone: the tunnel-mode run
+        rejects it, and one at 110 ms, before it starts. 1 us later runs."""
+        cfg = two_zone_cfg()
+        acquisition = usec(0.1) + 2 * cfg.control_delay_us
+
+        def events(gap):
+            zones = itertools.cycle(("z2", "z1"))
+            at = [*earlier, (earlier[-1] if earlier else 0) + gap]
+            return [StartEcho(0, usec(0.05), 100),
+                    *(MoveClient(t, next(zones)) for t in at), Stop(usec(2))]
+
+        moves = len(earlier) + 1
+        assert len(run_scenario(build_topology(cfg), events(usec(0.105))).handoffs) == moves
+        for gap in (usec(0.105), acquisition):
+            net = build_topology(cfg, Mode.PMIP, TunnelConfig())
+            with pytest.raises(ScenarioError, match="overlap") as err:
+                run_scenario(net, events(gap))
+            assert err.value.index == moves and net.sim.now == 0
+        net = build_topology(cfg, Mode.PMIP, TunnelConfig())
+        trace = run_scenario(net, events(acquisition + 1))
+        assert len(trace.handoffs) == moves and trace.resets == 0
 
 
 class TestSwitchoverBudgets:
@@ -378,8 +406,8 @@ class TestSimInvariants:
 
     def test_seed_determinism_bit_identical(self, bundled_configs):
         cfg = bundled_configs["handoff_basic"]
-        rows_a = run_scenario(build_topology(cfg.topology), cfg.events).csv_rows()
-        rows_b = run_scenario(build_topology(cfg.topology), cfg.events).csv_rows()
+        rows_a = list(run_scenario(build_topology(cfg.topology), cfg.events).csv_lines())
+        rows_b = list(run_scenario(build_topology(cfg.topology), cfg.events).csv_lines())
         assert rows_a == rows_b
 
 
@@ -393,10 +421,38 @@ class TestPacketInRepair:
         trace = run_scenario(build_topology(cfg), events)
         assert trace.losses == 0 and trace.resets == 0
         assert len(trace.server_observed_sources) == 1
-        expired = [e for e in trace.flow_events if e[1].startswith("expired")]
-        installs = [e for e in trace.flow_events if e[1].startswith("install")]
+        expired = [e for e in trace.flow_events if isinstance(e, FlowExpired)]
+        installs = [e for e in trace.flow_events if isinstance(e, FlowInstalled)]
         assert len(expired) >= 4
         assert len(installs) > len(expired)
+
+
+class TestBystanders:
+    def test_handoff_moves_only_the_mover(self):
+        """200 registered clients stay put while the roaming client hands
+        off: each keeps its real and virtual address, the mover keeps its
+        virtual address under a new real one, and the table stays whole."""
+        net = campus_network()
+        population = campus_population(200)
+        register(net, population)
+        mst = net.controller.mst
+        before = {uid: (mst.lookup(uid).real_ip, mst.lookup(uid).virtual_ip)
+                  for uid, _ in population}
+        events = load_config(bundled_scenario_path("handoff_bulk"), mode="sdn").events
+        trace = run_scenario(net, events)
+        assert trace.resets == 0 and trace.losses == 0 and len(trace.handoffs) == 1
+        for uid, _ in population:
+            record = mst.lookup(uid)
+            assert (record.real_ip, record.virtual_ip) == before[uid]
+        first_snat = next(e.rule for e in trace.flow_events
+                          if isinstance(e, FlowInstalled) and e.uid == net.client.uid)
+        assert first_snat.match.src_ip is not None
+        mover = mst.lookup(net.client.uid)
+        assert mover.virtual_ip == first_snat.new_addr
+        assert mover.real_ip != first_snat.match.src_ip
+        assert mover.real_ip in net.zones["zone2"].cfg.dhcp_range
+        assert len(mst) == len(population) + 1
+        mst.check_invariants()
 
 
 class TestConcurrentTraffic:
@@ -431,7 +487,7 @@ class TestFlowRefresh:
             HostReport(uid, IPv4Address("10.1.0.5")), now=0)
         for action in actions:
             net._apply_install(action)
-        record = net.controller.lookup(uid)
+        record = net.controller.mst.lookup(uid)
         rules = {rule.match: rule for rule in net.switch.table.rules}
         snat = rules.get(FlowMatch(src_ip=record.real_ip))
         assert snat is not None and snat.last_hit == 0
@@ -496,10 +552,12 @@ class TestFlowLifecycleEndToEnd:
         net = build_topology(cfg)
         trace = run_scenario(net, events)
         assert trace.losses == 0
-        expirations = [(t, ev) for t, ev in trace.flow_events
-                       if ev.startswith("expired snat 10.1.")]
+        old_range = cfg.zones[0].dhcp_range
+        expirations = [e.at_us for e in trace.flow_events
+                       if isinstance(e, FlowExpired) and e.rule.match.src_ip
+                       and e.rule.match.src_ip in old_range]
         assert expirations, "old source translation must eventually expire"
-        first_expiry = expirations[0][0]
+        first_expiry = expirations[0]
         # the rule's last hit is at most one echo round before the detach, so
         # it must survive until roughly detach + idle_timeout and fall in the
         # first expiry sweep after that
