@@ -213,9 +213,9 @@ class TestEventValidation:
     @pytest.mark.parametrize("earlier", [(), (usec(1),)])
     def test_tunnel_mode_counts_the_binding_update(self, earlier):
         """A tunnel-mode client acquires its address 100 ms (DHCP) after a
-        10 ms binding update (2 x 5 ms control delay). A move 105 ms after
-        the attach before it suits SDN mode alone: the tunnel-mode run
-        rejects it, and one at 110 ms, before it starts. 1 us later runs."""
+        10 ms binding update (2 x 5 ms control delay). SDN mode runs a move
+        105 ms after the attach before it. Tunnel mode rejects one at 105
+        or 110 ms before the run starts, and runs one at 110 ms + 1 us."""
         cfg = two_zone_cfg()
         acquisition = usec(0.1) + 2 * cfg.control_delay_us
 
