@@ -23,9 +23,7 @@ from .units import US_PER_S
 # Packet classes the default rule escalates to the controller when the
 # source is an unknown local address. DHCP and router solicitations are
 # handled at the distribution layer and never escalate.
-ESCALATED_KINDS = frozenset(
-    {PacketKind.DATA, PacketKind.ACK, PacketKind.KEEPALIVE}
-)
+ESCALATED_KINDS = frozenset({PacketKind.DATA, PacketKind.ACK})
 
 PACKET_IN_BUFFER_CAPACITY = 64
 PACKET_IN_BUFFER_TIMEOUT_US = 1 * US_PER_S

@@ -9,7 +9,7 @@ not of the packet itself.
 Each packet also carries its two addresses as 32-bit integers
 (``src_int``, ``dst_int``), taken once at construction. The per-packet
 code (flow-table lookups, tap buffer and spoof check, zone range checks,
-host address compares, the core's port cache) keys and compares on those,
+host address compares) keys and compares on those,
 because ``IPv4Address`` hashing, equality and ``IPv4Network`` membership
 are pure-Python calls.
 """
@@ -26,7 +26,7 @@ from .addressing import Uid
 # Fixed inner header bytes charged to every packet on the wire (IP + transport).
 INNER_HEADER_BYTES = 40
 
-# Wire size used for the modeled DHCP exchange messages.
+# Wire size of the modeled DHCP discover message.
 DHCP_WIRE_BYTES = 300
 
 
@@ -34,15 +34,12 @@ class PacketKind(enum.Enum):
     DATA = "data"
     ACK = "ack"
     DHCP_DISCOVER = "dhcp_discover"
-    DHCP_OFFER = "dhcp_offer"
     ROUTER_SOLICITATION = "router_solicitation"
-    KEEPALIVE = "keepalive"
 
 
 # Read once at import: a module global is far cheaper than an enum lookup.
 _DATA = PacketKind.DATA
 _DHCP_DISCOVER = PacketKind.DHCP_DISCOVER
-_DHCP_OFFER = PacketKind.DHCP_OFFER
 
 
 @dataclass(frozen=True, init=False)
@@ -92,8 +89,7 @@ class Packet:
         d["src_int"] = src_ip._ip
         d["dst_int"] = dst_ip._ip
         d["wire_bytes"] = (
-            DHCP_WIRE_BYTES if kind is _DHCP_DISCOVER or kind is _DHCP_OFFER
-            else payload_len + INNER_HEADER_BYTES
+            DHCP_WIRE_BYTES if kind is _DHCP_DISCOVER else payload_len + INNER_HEADER_BYTES
         )
 
     # Rewrites call the constructor with every field (cheaper than

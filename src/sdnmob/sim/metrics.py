@@ -146,7 +146,7 @@ FlowEvent = Union[FlowInstalled, FlowExpired, ClientEvicted]
 class MetricsTrace:
     mode: str
     seed: int
-    events_fingerprint: Tuple[str, ...]
+    events_fingerprint: Tuple[str, ...] = ()
     rtt_client: Series = field(default_factory=Series)  # (sent_at_us, rtt_us)
     rtt_server: Series = field(default_factory=Series)
     deliveries: Series = field(default_factory=Series)  # (t_us, bits)

@@ -109,6 +109,10 @@ def validate_events(cfg: TopologyConfig, events: List[ScenarioEvent],
                 raise ScenarioError(f"bad echo parameters: {e}", i)
             if not any(isinstance(s, Stop) and s.at_us >= e.at_us for s in events):
                 raise ScenarioError("echo traffic needs a later stop event", i)
+            # A stop ends all echo traffic for good, so an echo that starts
+            # after one (or at its instant, listed behind it) would never send.
+            if any(isinstance(s, Stop) for s in events[:i]):
+                raise ScenarioError("echo traffic starts after a stop event", i)
         elif isinstance(e, StartBulkTransfer):
             if e.payload_len <= 0 or e.total_bytes < e.payload_len:
                 raise ScenarioError(f"bad bulk parameters: {e}", i)
@@ -127,7 +131,7 @@ def move_client(net: Network, zone_id: str) -> None:
         raise ScenarioError(f"client already attached to {zone_id!r}")
     if net.client.in_dhcp:
         raise ScenarioError("mobility event during address acquisition")
-    net.handoffs.append(HandoffRecord(detach_us=net.sim.now))
+    net.trace.handoffs.append(HandoffRecord(detach_us=net.sim.now))
     net.detach_client()
     net.attach_client(zone_id)
 
@@ -140,7 +144,7 @@ def _execute(net: Network, event: ScenarioEvent) -> None:
         net.echo_active = True
 
         def tick() -> None:
-            if net.traffic_stopped:
+            if not net.echo_active:
                 return
             side.submit(event.payload_len)
             net.sim.schedule(event.interval_us, tick)
@@ -150,7 +154,6 @@ def _execute(net: Network, event: ScenarioEvent) -> None:
         _, side = net.new_client_conn(echo=False)
         side.submit_many(event.payload_len, event.total_bytes // event.payload_len)
     elif isinstance(event, Stop):
-        net.traffic_stopped = True
         net.echo_active = False
     net.scenario_events_remaining -= 1
 
@@ -184,9 +187,8 @@ def run_scenario(net: Network, events: List[ScenarioEvent]) -> MetricsTrace:
     """
     if net.ran:
         raise ScenarioError("network already ran a scenario; build a fresh one")
-    net.ran = True
     validate_events(net.cfg, events, net.tunnel if net.mode is Mode.PMIP else None)
-    net.traffic_stopped = False
+    net.ran = True
     net.scenario_events_remaining = len(events) + 1  # + initial attach
     home = net.cfg.zones[0].zone_id
 

@@ -6,7 +6,9 @@ DHCP, metrics and quiescence. Each mode adds its core to it. Each zone's
 state lives in one ``Zone`` in ``Network.zones``. Every transmission ends
 in one fate, an integer attribute of the network: ``accepted`` by a host,
 ``consumed`` at a zone gateway, or dropped at a host (``host_drops``) or on
-a link (``link_drops``). ``finalize`` folds them into the trace's counters.
+a link (``link_drops``). Everything else the run records goes straight into
+``Network.trace``, the ``MetricsTrace`` the run returns; ``finalize`` adds
+the losses and folds the fates into its counters.
 
 ``SdnNetwork`` adds the least set of SDN features: per-zone tap servers, the
 controller and a flow-table core that translates the client's zone-local
@@ -47,8 +49,7 @@ from ..tap_server import (
 from ..units import US_PER_S
 from .events import Simulator
 from .links import Link
-from .metrics import (ClientEvicted, FlowEvent, FlowExpired, FlowInstalled, HandoffRecord,
-                      MetricsTrace, Series)
+from .metrics import ClientEvicted, FlowExpired, FlowInstalled, MetricsTrace
 from .transport import TransportSide
 
 EXPIRY_TICK_US = 1 * US_PER_S
@@ -226,12 +227,12 @@ class ServerHost:
             # a connection or resets one, so only those record it.
             if conn is None:
                 conn = self._establish(pkt.conn_id, pkt.src_ip)
-                self.net.observed_sources.add(str(pkt.src_ip))
+                self.net.trace.server_observed_sources.add(str(pkt.src_ip))
             elif conn.established_int != pkt.src_int:
-                self.net.resets += 1
+                self.net.trace.resets += 1
                 conn.established_src = pkt.src_ip
                 conn.established_int = pkt.src_int
-                self.net.observed_sources.add(str(pkt.src_ip))
+                self.net.trace.server_observed_sources.add(str(pkt.src_ip))
             conn.side.receive_data(pkt)
         elif kind is _ACK:
             conn = self.conns.get(pkt.conn_id)
@@ -244,7 +245,7 @@ class ServerHost:
             if conn_id in self.net.echo_conn_ids:
                 conn.side.submit(payload_len)
 
-        side = TransportSide(self, conn_id, rtt_log=self.net.rtt_server,
+        side = TransportSide(self, conn_id, rtt_log=self.net.trace.rtt_server,
                              on_deliver=on_deliver)
         conn = ServerConn(side, src)
         self.conns[conn_id] = conn
@@ -306,29 +307,19 @@ class Network:
         self.sim = Simulator()
         self.rng = random.Random(cfg.seed)
 
-        # metric state
-        self.rtt_client = Series()
-        self.rtt_server = Series()
-        self.deliveries = Series()
-        self.handoffs: List[HandoffRecord] = []
-        self.flow_events: List[FlowEvent] = []
-        self.observed_sources: set = set()
-        self.resets = 0
+        self.trace = MetricsTrace(self.mode.value, cfg.seed)
         # Packet fates, folded into the trace's counters by finalize.
         self.transmissions = 0
         self.accepted = 0
         self.consumed = 0
         self.host_drops = 0
         self.link_drops = 0
-        self.last_delivery_us = 0
 
         # liveness accounting for quiescence detection (packets in flight
         # are counted on the links)
         self.control_outstanding = 0
-        self.dhcp_pending = 0
         self.scenario_events_remaining = 0
         self.echo_active = False
-        self.traffic_stopped = False
         self.ran = False  # set by the first run_scenario
         self.echo_conn_ids: set = set()
         self._next_conn_id = 0
@@ -348,7 +339,6 @@ class Network:
         self._port_links: Dict[str, Link] = {
             EXT_PORT: self.ext_out, **{z.port: z.trunk_down for z in self.zones.values()}
         }
-        self._port_cache: Dict[int, str] = {}
 
     # -- wiring --------------------------------------------------------------
 
@@ -370,37 +360,27 @@ class Network:
         return EXT_PORT
 
     def _port_for_ip(self, addr: IPv4Address) -> str:
-        """``_zone_port`` of an ``IPv4Address``, uncached: the SDN
-        controller asks once per install and the SDN core's default route
-        seldom, so caching every client the controller admits would only
-        hold memory."""
+        """``_zone_port`` of an ``IPv4Address``."""
         return self._zone_port(int(addr))
-
-    def _port_for_int(self, addr: int) -> str:
-        """``_zone_port`` for the tunnel core, once per packet. Zones never
-        change during a run, so each answer is cached."""
-        port = self._port_cache.get(addr)
-        if port is None:
-            port = self._port_cache[addr] = self._zone_port(addr)
-        return port
 
     # -- fates ---------------------------------------------------------------------
 
     def _on_drop(self, pkt: Packet, reason: str) -> None:
         self.link_drops += 1
 
-    # Simulated time never decreases, so the latest delivery is the last one.
+    # The server calls note_goodput only right after note_server_data.
     def note_goodput(self, now: int, payload_len: int) -> None:
-        self.deliveries.append(now, payload_len * 8)
-        self.last_delivery_us = now
+        self.trace.deliveries.append(now, payload_len * 8)
 
+    # Simulated time never decreases, so the latest delivery is the last one.
     def note_delivery(self, now: int) -> None:
-        self.last_delivery_us = now
+        self.trace.end_of_traffic_us = now
 
     def note_server_data(self, pkt: Packet, now: int) -> None:
-        self.last_delivery_us = now
-        if self.handoffs:
-            h = self.handoffs[-1]
+        trace = self.trace
+        trace.end_of_traffic_us = now
+        if trace.handoffs:
+            h = trace.handoffs[-1]
             if h.first_delivery_us is None and pkt.sent_at > h.detach_us:
                 h.first_delivery_us = now
 
@@ -431,7 +411,6 @@ class Network:
             raise ConfigurationError(f"unknown zone: {zone_id!r}")
         self.client.zone = zone
         zone.set_attached(True)
-        self.dhcp_pending += 1
         self.client.in_dhcp = True
         self._start_dhcp(zone)
 
@@ -445,7 +424,6 @@ class Network:
         self.sim.schedule(zone.cfg.dhcp_latency, self._complete_dhcp, zone)
 
     def _complete_dhcp(self, zone: Zone) -> None:
-        self.dhcp_pending -= 1
         self.client.in_dhcp = False
         self.client.set_addr(self._lease(zone))
         solicit = Packet(
@@ -470,14 +448,14 @@ class Network:
         self._next_conn_id += 1
         if echo:
             self.echo_conn_ids.add(conn_id)
-        side = TransportSide(self.client, conn_id, rtt_log=self.rtt_client)
+        side = TransportSide(self.client, conn_id, rtt_log=self.trace.rtt_client)
         self.client.conns[conn_id] = side
         return conn_id, side
 
     # -- quiescence --------------------------------------------------------------------
 
     def is_idle(self) -> bool:
-        if self.echo_active or self.control_outstanding or self.dhcp_pending \
+        if self.echo_active or self.control_outstanding or self.client.in_dhcp \
                 or any(link.in_flight for link in self.links):
             return False
         sides = list(self.client.conns.values()) + [
@@ -511,22 +489,11 @@ class Network:
             s.retransmissions for s in self.client.conns.values()
         ) + sum(c.side.retransmissions for c in self.server.conns.values())
         counters.update(self._buffer_counts())
-        trace = MetricsTrace(
-            mode=self.mode.value,
-            seed=self.cfg.seed,
-            events_fingerprint=events_fingerprint,
-            rtt_client=self.rtt_client,
-            rtt_server=self.rtt_server,
-            deliveries=self.deliveries,
-            handoffs=self.handoffs,
-            expected_switchover_us=expected_switchover_us,
-            losses=losses,
-            resets=self.resets,
-            server_observed_sources=set(self.observed_sources),
-            counters=counters,
-            flow_events=list(self.flow_events),
-            end_of_traffic_us=self.last_delivery_us,
-        )
+        trace = self.trace
+        trace.events_fingerprint = events_fingerprint
+        trace.expected_switchover_us = expected_switchover_us
+        trace.losses = losses
+        trace.counters = counters
         return trace
 
 
@@ -584,13 +551,13 @@ class SdnNetwork(Network):
             elif isinstance(action, RefreshFlows):
                 self._control_send(delay, self._apply_refresh, action)
             elif isinstance(action, EvictClient):
-                self.flow_events.append(ClientEvicted(self.sim.now, action.uid))
+                self.trace.flow_events.append(ClientEvicted(self.sim.now, action.uid))
 
     def _apply_install(self, action: InstallFlows) -> None:
         now = self.sim.now
         for rule in (action.snat, action.dnat):
             installed = self.switch.install(rule, now)
-            self.flow_events.append(FlowInstalled(now, action.uid, installed))
+            self.trace.flow_events.append(FlowInstalled(now, action.uid, installed))
         for decision in self.switch.drain(now):
             self._port_links[decision.out_port].send(decision.packet)
 
@@ -622,7 +589,7 @@ class SdnNetwork(Network):
     def _expiry_tick(self) -> None:
         now = self.sim.now
         for rule in self.switch.table.expire(now):
-            self.flow_events.append(FlowExpired(now, rule))
+            self.trace.flow_events.append(FlowExpired(now, rule))
         window = int(LIVENESS_WINDOW_FACTOR * self.cfg.keepalive_interval_us)
         self._dispatch_actions(self.controller.evict_stale(now, window))
         if not self.finished():
@@ -660,7 +627,7 @@ class TunnelNetwork(Network):
         if dst == self._home_int:
             self.bound_zone.trunk_down.send(pkt)
         else:
-            self._port_links[self._port_for_int(dst)].send(pkt)
+            self._port_links[self._zone_port(dst)].send(pkt)
 
     def _start_dhcp(self, zone: Zone) -> None:
         # Binding registration precedes address (re)confirmation.

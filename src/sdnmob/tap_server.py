@@ -41,11 +41,7 @@ class TapFilter(enum.Enum):
     DHCP_AND_RS_ONLY = "dhcp_rs_only"
 
 
-_DISCOVERY_KINDS = frozenset({
-    PacketKind.DHCP_DISCOVER,
-    PacketKind.DHCP_OFFER,
-    PacketKind.ROUTER_SOLICITATION,
-})
+_DISCOVERY_KINDS = frozenset({PacketKind.DHCP_DISCOVER, PacketKind.ROUTER_SOLICITATION})
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,9 @@ class TestEventListLocation:
          "bad echo parameters"),
         ((BULK, "stop at=0.5", "start_echo at=1 interval_s=0.05 payload_len=100"), 2,
          "echo traffic needs a later stop"),
+        ((ECHO, "stop at=2", "start_echo at=4 interval_s=0.05 payload_len=100", "stop at=6"),
+         2, "echo traffic starts after a stop"),
+        (("stop at=0", ECHO), 1, "echo traffic starts after a stop"),
         ((ECHO, "start_bulk at=1 total_bytes=10 payload_len=100", "stop at=30"), 1,
          "bad bulk parameters"),
     ])

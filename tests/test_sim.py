@@ -121,6 +121,25 @@ class TestIdle:
         assert net.is_idle()
         assert net.host_drops == 1
 
+    @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP])
+    def test_not_idle_while_the_client_acquires_an_address(self, mode):
+        cfg = two_zone_cfg()
+        net = build_topology(cfg, mode, TunnelConfig())
+        bud = 0 if mode is Mode.SDN else TunnelConfig().resolved_binding_delay(
+            cfg.control_delay_us)
+        net.attach_client("z1")
+        # The DISCOVER is consumed at the gateway and any binding update is
+        # done: only the pending lease keeps the run busy.
+        net.sim.run(until=bud + usec(0.05))
+        assert net.consumed == 1 and net.client.addr is None
+        assert net.control_outstanding == 0
+        assert not any(link.in_flight for link in net.links)
+        assert not net.is_idle()
+        # Lease at bud + 100 ms; the solicitation lands 1.032 ms later.
+        net.sim.run(until=bud + usec(0.2))
+        assert net.consumed == 2 and net.client.addr is not None
+        assert net.is_idle()
+
 
 class TestMoveAndDhcp:
     def test_move_to_unknown_zone_rejected(self):
@@ -203,6 +222,18 @@ class TestEventValidation:
         ]
         with pytest.raises(ScenarioError):
             validate_events(cfg, events)
+
+    @pytest.mark.parametrize("events,index", [
+        ([StartEcho(0, usec(0.05), 100), Stop(usec(2)),
+          StartEcho(usec(4), usec(0.05), 100), Stop(usec(6))], 2),
+        ([Stop(0), StartEcho(0, usec(0.05), 100)], 1),
+    ])
+    def test_echo_after_a_stop_rejected(self, events, index):
+        """A stop ends echo traffic for good: an echo listed after one would
+        submit nothing."""
+        with pytest.raises(ScenarioError, match="starts after a stop") as err:
+            validate_events(two_zone_cfg(), events)
+        assert err.value.index == index
 
     def test_unknown_zone_is_a_scenario_error_with_index(self):
         events = [StartEcho(0, usec(0.05), 100), MoveClient(usec(5), "z9"), Stop(usec(10))]
@@ -325,6 +356,15 @@ class TestPmipBaseline:
         net = build_topology(cfg.topology)
         run_scenario(net, cfg.events)
         with pytest.raises(ScenarioError):
+            run_scenario(net, cfg.events)
+
+    def test_rejected_event_list_leaves_the_network_unrun(self):
+        cfg = load_config(bundled_scenario_path("handoff_basic"), mode="sdn")
+        net = build_topology(cfg.topology)
+        with pytest.raises(ScenarioError, match="overlaps initial attach"):
+            run_scenario(net, [MoveClient(usec(0.05), "zone2")])
+        assert len(run_scenario(net, cfg.events).handoffs) > 0
+        with pytest.raises(ScenarioError, match="already ran"):
             run_scenario(net, cfg.events)
 
 

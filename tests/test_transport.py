@@ -236,14 +236,14 @@ class TestResetRule:
             payload_len=100, seq=0, sent_at=0, kind=PacketKind.DATA, conn_id=0,
         )
         server.handle(pkt1, now=0)
-        assert net.resets == 0
+        assert net.trace.resets == 0
         pkt2 = Packet(
             src_ip=IPv4Address("10.2.0.9"), dst_ip=server.addr, src_mac=UID,
             payload_len=100, seq=1, sent_at=1, kind=PacketKind.DATA, conn_id=0,
         )
         server.handle(pkt2, now=1)
-        assert net.resets == 1
-        assert net.observed_sources == {"10.1.0.5", "10.2.0.9"}
+        assert net.trace.resets == 1
+        assert net.trace.server_observed_sources == {"10.1.0.5", "10.2.0.9"}
 
     def test_stable_source_never_resets(self):
         from sdnmob.sim.topology import TopologyConfig, build_topology
@@ -259,5 +259,5 @@ class TestResetRule:
                 kind=PacketKind.DATA, conn_id=0,
             )
             net.server.handle(pkt, now=seq)
-        assert net.resets == 0
-        assert net.observed_sources == {"198.51.100.7"}
+        assert net.trace.resets == 0
+        assert net.trace.server_observed_sources == {"198.51.100.7"}
