@@ -192,11 +192,11 @@ class TestEventListLocation:
          "bad echo parameters"),
         ((BULK, "stop at=0.5", "start_echo at=1 interval_s=0.05 payload_len=100"), 2,
          "echo traffic needs a later stop"),
+        ((ECHO, "start_bulk at=1 total_bytes=10 payload_len=100", "stop at=30"), 1,
+         "bad bulk parameters"),
         ((ECHO, "stop at=2", "start_echo at=4 interval_s=0.05 payload_len=100", "stop at=6"),
          2, "echo traffic starts after a stop"),
         (("stop at=0", ECHO), 1, "echo traffic starts after a stop"),
-        ((ECHO, "start_bulk at=1 total_bytes=10 payload_len=100", "stop at=30"), 1,
-         "bad bulk parameters"),
     ])
     def test_rule_reported_at_its_event(self, lines, bad_index, message):
         with pytest.raises(ConfigError) as err:
