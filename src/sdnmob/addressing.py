@@ -6,10 +6,10 @@ import bisect
 import random
 import re
 from dataclasses import dataclass
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 from typing import List, Optional, Sequence, Set, Tuple
 
-_UID_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
+_UID_RE = re.compile(r"([0-9a-f]{2}:){5}[0-9a-f]{2}")
 
 
 class AddressError(ValueError):
@@ -27,7 +27,7 @@ class Uid:
     text: str
 
     def __post_init__(self) -> None:
-        if not _UID_RE.match(self.text):
+        if not _UID_RE.fullmatch(self.text):
             raise AddressError(f"not a canonical 48-bit identifier: {self.text!r}")
 
     @classmethod
@@ -94,17 +94,19 @@ class AddressPool:
         self._used: List[int] = []
 
     @property
-    def used(self) -> Set[IPv4Address]:
-        return {IPv4Address(self._first + offset) for offset in self._used}
+    def used(self) -> Set[int]:
+        """The allocated addresses, as integers."""
+        return {self._first + offset for offset in self._used}
 
-    def allocate(self, rng: random.Random) -> IPv4Address:
-        """Uniform draw over the sorted free addresses."""
+    def allocate(self, rng: random.Random) -> int:
+        """Uniform draw over the sorted free addresses; returns the address
+        integer."""
         free = self._count - len(self._used)
         if free == 0:
             raise PoolExhausted(f"no free addresses left in {self.network}")
         offset = nth_free(rng.randrange(free), self._used)
         bisect.insort(self._used, offset)
-        return IPv4Address(self._first + offset)
+        return self._first + offset
 
 
 class PoolExhausted(AddressError):

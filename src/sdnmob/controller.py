@@ -78,8 +78,8 @@ class HostReport:
 @dataclass(slots=True)
 class MobilityRecord:
     uid: Uid
-    real_ip: IPv4Address
-    virtual_ip: IPv4Address
+    real_ip: int
+    virtual_ip: int
     last_seen: int
 
 
@@ -89,10 +89,9 @@ class MobilityServiceTable:
 
     The virtual IPs are kept as their sorted offsets from the first host of
     ``vpip_pool`` (``vpip_offsets``), the form ``allocate_vpip`` searches.
-    The index ``uid_by_real_ip`` is keyed by the real address as an integer,
-    so a lookup hashes an int, not an ``IPv4Address``. Records change only
-    through ``add``, ``move`` and ``remove``, which keep the offsets and the
-    index in step with them.
+    The index ``uid_by_real_ip`` is keyed by the real address. Records
+    change only through ``add``, ``move`` and ``remove``, which keep the
+    offsets and the index in step with them.
     """
 
     def __init__(self, vpip_pool: IPv4Network) -> None:
@@ -107,52 +106,52 @@ class MobilityServiceTable:
     def lookup(self, uid: Uid) -> Optional[MobilityRecord]:
         return self.records.get(uid)
 
-    def holder_of(self, real_ip: IPv4Address) -> Optional[MobilityRecord]:
+    def holder_of(self, real_ip: int) -> Optional[MobilityRecord]:
         """The record currently holding ``real_ip``, if any."""
-        uid = self.uid_by_real_ip.get(int(real_ip))
+        uid = self.uid_by_real_ip.get(real_ip)
         return None if uid is None else self.records[uid]
 
     def add(self, record: MobilityRecord) -> None:
         """Insert a record whose virtual IP is a free host of the pool."""
         self.records[record.uid] = record
-        bisect.insort(self.vpip_offsets, int(record.virtual_ip) - self._first)
-        self.uid_by_real_ip[int(record.real_ip)] = record.uid
+        bisect.insort(self.vpip_offsets, record.virtual_ip - self._first)
+        self.uid_by_real_ip[record.real_ip] = record.uid
 
-    def move(self, record: MobilityRecord, real_ip: IPv4Address) -> None:
+    def move(self, record: MobilityRecord, real_ip: int) -> None:
         """Give ``record`` a new real address."""
         self._unindex(record)
         record.real_ip = real_ip
-        self.uid_by_real_ip[int(real_ip)] = record.uid
+        self.uid_by_real_ip[real_ip] = record.uid
 
     def remove(self, uid: Uid) -> Optional[MobilityRecord]:
         record = self.records.pop(uid, None)
         if record is not None:
             offsets = self.vpip_offsets
-            del offsets[bisect.bisect_left(offsets, int(record.virtual_ip) - self._first)]
+            del offsets[bisect.bisect_left(offsets, record.virtual_ip - self._first)]
             self._unindex(record)
         return record
 
     def _unindex(self, record: MobilityRecord) -> None:
-        real_ip = int(record.real_ip)
+        real_ip = record.real_ip
         if self.uid_by_real_ip.get(real_ip) == record.uid:
             del self.uid_by_real_ip[real_ip]
 
     def check_invariants(self) -> None:
         vpips = [r.virtual_ip for r in self.records.values()]
         assert len(set(vpips)) == len(vpips), "virtual addresses must be distinct"
-        offsets = sorted(int(v) - self._first for v in vpips)
+        offsets = sorted(v - self._first for v in vpips)
         assert offsets == self.vpip_offsets, "vpIP offsets out of sync with records"
         assert all(0 <= o < self._count for o in offsets), "vpIP outside the pool's hosts"
         rips = [r.real_ip for r in self.records.values()]
         assert len(set(rips)) == len(rips), "real->virtual map must be a bijection"
         assert self.uid_by_real_ip == {
-            int(r.real_ip): uid for uid, r in self.records.items()
+            r.real_ip: uid for uid, r in self.records.items()
         }, "real IP index out of sync with records"
 
 
 def allocate_vpip(pool: IPv4Network, taken: Sequence[int],
-                  rng: random.Random) -> IPv4Address:
-    """Uniform draw over the free addresses of ``pool``.
+                  rng: random.Random) -> int:
+    """Uniform draw over the free addresses of ``pool``, as an integer.
 
     ``taken`` holds the offsets of the allocated hosts from the pool's first
     host (as ``host_span`` gives it), sorted ascending without repeats; the
@@ -166,7 +165,7 @@ def allocate_vpip(pool: IPv4Network, taken: Sequence[int],
     first, count = host_span(pool)
     if len(taken) == count:
         raise PoolExhausted(f"virtual address pool {pool} exhausted")
-    return IPv4Address(first + nth_free(rng.randrange(count - len(taken)), taken))
+    return first + nth_free(rng.randrange(count - len(taken)), taken)
 
 
 @dataclass(frozen=True)
@@ -193,16 +192,16 @@ class MobilityController:
     """Serialized event handler for host reports, packet-ins and timer ticks.
 
     ``port_for_ip`` resolves which core-router port reaches a given client
-    address (the controller's topology knowledge). Each binding gets one
-    source NAT and one destination NAT rule; outbound traffic leaves on
-    ``EXT_PORT``.
+    address integer (the controller's topology knowledge). Each binding
+    gets one source NAT and one destination NAT rule; outbound traffic
+    leaves on ``EXT_PORT``.
     """
 
     def __init__(
         self,
         vpip_pool: IPv4Network,
         rng: random.Random,
-        port_for_ip: Callable[[IPv4Address], str],
+        port_for_ip: Callable[[int], str],
         idle_timeout: int = DEFAULT_IDLE_TIMEOUT_US,
     ) -> None:
         self.mst = MobilityServiceTable(vpip_pool)
@@ -215,13 +214,13 @@ class MobilityController:
     # -- report handling ---------------------------------------------------
 
     def handle_host_report(self, report: HostReport, now: int) -> List[ControlAction]:
-        self._validate_real_ip(report.real_ip)
+        real_ip = self._validate_real_ip(report.real_ip)
         actions: List[ControlAction] = []
         mst = self.mst
         record = mst.lookup(report.uid)
         # The index maps each record's own real address to it, so the
         # reporter already holds the address exactly when it is the holder.
-        holder = mst.holder_of(report.real_ip)
+        holder = mst.holder_of(real_ip)
         # DHCP reuse: a report proves the reported address's previous holder
         # is gone; drop that record so real->virtual stays a bijection.
         if holder is not None and holder is not record:
@@ -229,7 +228,7 @@ class MobilityController:
             actions.append(EvictClient(holder.uid))
         if record is None:
             vpip = allocate_vpip(self.vpip_pool, mst.vpip_offsets, self.rng)
-            record = MobilityRecord(report.uid, report.real_ip, vpip, now)
+            record = MobilityRecord(report.uid, real_ip, vpip, now)
             mst.add(record)
             actions.append(self._install_action(record))
             return actions
@@ -238,16 +237,16 @@ class MobilityController:
             # Zone change: only the real address moves; the virtual address
             # is the session anchor and must not change. Flows for the old
             # address are left to idle out.
-            mst.move(record, report.real_ip)
+            mst.move(record, real_ip)
             actions.append(self._install_action(record))
             return actions
         actions.append(RefreshFlows(record.uid))
         return actions
 
-    def _validate_real_ip(self, addr: IPv4Address) -> None:
-        """Reject the unspecified, multicast (224.0.0.0/4) and limited
-        broadcast addresses and any address of the virtual pool, tested on
-        the address integer."""
+    def _validate_real_ip(self, addr: IPv4Address) -> int:
+        """The integer of ``addr``. Rejects the unspecified, multicast
+        (224.0.0.0/4) and limited broadcast addresses and any address of the
+        virtual pool, tested on that integer."""
         ip = int(addr)
         if ip == 0 or ip >> 28 == 0xE or ip == _LIMITED_BROADCAST:
             raise ReportRejected(f"not a unicast client address: {addr}")
@@ -255,6 +254,7 @@ class MobilityController:
             raise ReportRejected(
                 f"client address {addr} collides with the virtual pool {self.vpip_pool}"
             )
+        return ip
 
     def _install_action(self, record: MobilityRecord) -> InstallFlows:
         snat = snat_rule(record.real_ip, record.virtual_ip, EXT_PORT, self.idle_timeout)

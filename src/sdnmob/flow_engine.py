@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -39,14 +39,14 @@ class InstallRejected(FlowEngineError):
 
 @dataclass(frozen=True, slots=True)
 class FlowMatch:
-    """Exact-match keys; an absent field is a wildcard.
+    """Exact-match address integers; an absent field is a wildcard.
 
     An installed rule sets exactly one of the two; the all-wildcard match
     belongs to the table's default rule alone.
     """
 
-    src_ip: Optional[IPv4Address] = None
-    dst_ip: Optional[IPv4Address] = None
+    src_ip: Optional[int] = None
+    dst_ip: Optional[int] = None
 
 
 # Rules are slotted: a campus-sized table holds thousands, and a slotted
@@ -58,7 +58,7 @@ class FlowRule:
     destination."""
 
     match: FlowMatch
-    new_addr: Optional[IPv4Address]
+    new_addr: Optional[int]
     out_port: str
     idle_timeout: Optional[int]  # microseconds; None = never expires
     last_hit: int = 0
@@ -75,18 +75,20 @@ def apply_actions(rule: FlowRule, pkt: Packet) -> Forwarded:
     return Forwarded(pkt.with_dst(rule.new_addr), rule.out_port)
 
 
-def snat_rule(real_ip: IPv4Address, virtual_ip: IPv4Address, out_port: str,
+def snat_rule(real_ip: int, virtual_ip: int, out_port: str,
               idle_timeout: Optional[int]) -> FlowRule:
     """Outbound translation: packets sourced at the client's real address
-    leave with the virtual permanent address."""
-    return FlowRule(FlowMatch(src_ip=real_ip), virtual_ip, out_port, idle_timeout)
+    leave with the virtual permanent address. Addresses are taken as
+    anything ``int()`` accepts, an ``IPv4Address`` included."""
+    return FlowRule(FlowMatch(src_ip=int(real_ip)), int(virtual_ip), out_port, idle_timeout)
 
 
-def dnat_rule(virtual_ip: IPv4Address, real_ip: IPv4Address, out_port: str,
+def dnat_rule(virtual_ip: int, real_ip: int, out_port: str,
               idle_timeout: Optional[int]) -> FlowRule:
     """Inbound translation: packets addressed to the virtual permanent
-    address are restored to the client's current real address."""
-    return FlowRule(FlowMatch(dst_ip=virtual_ip), real_ip, out_port, idle_timeout)
+    address are restored to the client's current real address. Addresses
+    are taken as ``snat_rule`` takes them."""
+    return FlowRule(FlowMatch(dst_ip=int(virtual_ip)), int(real_ip), out_port, idle_timeout)
 
 
 _NEVER = float("inf")
@@ -96,12 +98,12 @@ _install_order = attrgetter("install_seq")
 class FlowTable:
     """NAT table with idle expiry and replace-on-reinstall.
 
-    Two dicts hold the rules, keyed by address integer (taken at install,
-    read from ``Packet.src_int``/``dst_int`` at lookup): source NAT rules by
-    real address, destination NAT rules by virtual address. Reinstalling a
-    match replaces its rule. A packet that hits both (client-to-vpIP
-    traffic) takes the earlier install; one that hits neither takes the
-    default rule. Cost per packet does not grow with the number of rules.
+    Two dicts hold the rules, keyed by the matched address: source NAT
+    rules by real address, destination NAT rules by virtual address.
+    Reinstalling a match replaces its rule. A packet that hits both
+    (client-to-vpIP traffic) takes the earlier install; one that hits
+    neither takes the default rule. Cost per packet does not grow with the
+    number of rules.
 
     ``expire`` keeps a lower bound on the earliest idle deadline (last hit
     plus timeout) and skips its scan while ``now`` is at or below it. The
@@ -136,8 +138,8 @@ class FlowTable:
     def _slot(self, match: FlowMatch) -> Tuple[Dict[int, FlowRule], int]:
         """The dict that holds the rule with ``match``, and its key in it."""
         if match.src_ip is not None:
-            return self._snat, int(match.src_ip)
-        return self._dnat, int(match.dst_ip)
+            return self._snat, match.src_ip
+        return self._dnat, match.dst_ip
 
     def install_default(self, out_port: str, now: int = 0) -> FlowRule:
         """Install the all-wildcard route rule."""
@@ -173,8 +175,8 @@ class FlowTable:
     def match_packet(self, pkt: Packet, now: int) -> Optional[FlowRule]:
         """The source or destination NAT rule, the earlier install when both
         hit, else the default; hits update the rule's idle timer."""
-        rule = self._snat.get(pkt.src_int)
-        dnat = self._dnat.get(pkt.dst_int)
+        rule = self._snat.get(pkt.src_ip)
+        dnat = self._dnat.get(pkt.dst_ip)
         if dnat is not None and (rule is None or dnat.install_seq < rule.install_seq):
             rule = dnat
         if rule is None:
@@ -241,7 +243,7 @@ class SdnSwitch:
     def __init__(
         self,
         local_ranges: Sequence[IPv4Network],
-        route_port: Callable[[IPv4Address], str],
+        route_port: Callable[[int], str],
     ) -> None:
         self.table = FlowTable()
         self.default_rule = self.table.install_default("route")
@@ -267,7 +269,7 @@ class SdnSwitch:
         rule = self.table.match_packet(pkt, now)
         if rule is not self.default_rule:
             return apply_actions(rule, pkt)
-        if pkt.kind in ESCALATED_KINDS and self._is_local(pkt.src_int):
+        if pkt.kind in ESCALATED_KINDS and self._is_local(pkt.src_ip):
             self._buffer(pkt, now)
             return PacketIn(pkt)
         return Forwarded(pkt, self.route_port(pkt.dst_ip))

@@ -6,19 +6,18 @@ Sizes are modeled as payload bytes plus a fixed L3/L4 header; tunnel
 encapsulation overhead is a property of the link that carries the packet,
 not of the packet itself.
 
-Each packet also carries its two addresses as 32-bit integers
-(``src_int``, ``dst_int``), taken once at construction. The per-packet
-code (flow-table lookups, tap buffer and spoof check, zone range checks,
-host address compares) keys and compares on those,
-because ``IPv4Address`` hashing, equality and ``IPv4Network`` membership
-are pure-Python calls.
+Addresses are 32-bit integers. The per-packet code (flow-table lookups,
+tap buffer and spoof check, zone range checks, host address compares)
+keys and compares on them, because ``IPv4Address`` hashing, equality and
+``IPv4Network`` membership are pure-Python calls. ``IPv4Address`` appears
+only at the edges: configuration, the host-report wire form and the
+addresses a run reports.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from ipaddress import IPv4Address
 from typing import Optional
 
 from .addressing import Uid
@@ -40,6 +39,7 @@ class PacketKind(enum.Enum):
 # Read once at import: a module global is far cheaper than an enum lookup.
 _DATA = PacketKind.DATA
 _DHCP_DISCOVER = PacketKind.DHCP_DISCOVER
+_new = object.__new__
 
 
 @dataclass(frozen=True, init=False)
@@ -49,13 +49,14 @@ class Packet:
     Frozen: assigning a field raises ``FrozenInstanceError``. ``__init__``
     validates and then writes the instance ``__dict__`` directly, which skips
     the per-field ``object.__setattr__`` of a generated frozen ``__init__``.
-    It also stores ``wire_bytes``, the size charged on the wire, and the
-    integers of both addresses (``src_int``, ``dst_int``) once; they are
-    not dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them.
+    It takes each address as anything ``int()`` accepts (an integer or an
+    ``IPv4Address``) and stores the integer. It also stores ``wire_bytes``,
+    the size charged on the wire; that is not a dataclass field, so ``==``,
+    ``hash`` and ``repr`` ignore it.
     """
 
-    src_ip: IPv4Address
-    dst_ip: IPv4Address
+    src_ip: int
+    dst_ip: int
     src_mac: Uid
     payload_len: int
     seq: int
@@ -66,7 +67,7 @@ class Packet:
     conn_id: int = 0
     ack: Optional[int] = None
 
-    def __init__(self, src_ip: IPv4Address, dst_ip: IPv4Address, src_mac: Uid,
+    def __init__(self, src_ip: int, dst_ip: int, src_mac: Uid,
                  payload_len: int, seq: int, sent_at: int, kind: PacketKind,
                  conn_id: int = 0, ack: Optional[int] = None) -> None:
         if payload_len <= 0:
@@ -75,8 +76,8 @@ class Packet:
             if payload_len < 0:
                 raise ValueError("negative payload length")
         d = self.__dict__
-        d["src_ip"] = src_ip
-        d["dst_ip"] = dst_ip
+        d["src_ip"] = int(src_ip)
+        d["dst_ip"] = int(dst_ip)
         d["src_mac"] = src_mac
         d["payload_len"] = payload_len
         d["seq"] = seq
@@ -84,20 +85,19 @@ class Packet:
         d["kind"] = kind
         d["conn_id"] = conn_id
         d["ack"] = ack
-        # ``_ip`` is the integer slot of the stdlib's ``IPv4Address``; reading
-        # it skips the ``int()`` call, which costs about as much again.
-        d["src_int"] = src_ip._ip
-        d["dst_int"] = dst_ip._ip
         d["wire_bytes"] = (
             DHCP_WIRE_BYTES if kind is _DHCP_DISCOVER else payload_len + INNER_HEADER_BYTES
         )
 
-    # Rewrites call the constructor with every field (cheaper than
-    # ``dataclasses.replace``), so the copy is validated and sized too.
-    def with_src(self, addr: IPv4Address) -> "Packet":
-        return Packet(addr, self.dst_ip, self.src_mac, self.payload_len, self.seq,
-                      self.sent_at, self.kind, self.conn_id, self.ack)
+    # A rewrite copies the instance dict and replaces one address: every
+    # other field, the size included, was validated when the original was
+    # built.
+    def with_src(self, addr: int) -> "Packet":
+        copy = _new(Packet)
+        copy.__dict__.update(self.__dict__, src_ip=addr)
+        return copy
 
-    def with_dst(self, addr: IPv4Address) -> "Packet":
-        return Packet(self.src_ip, addr, self.src_mac, self.payload_len, self.seq,
-                      self.sent_at, self.kind, self.conn_id, self.ack)
+    def with_dst(self, addr: int) -> "Packet":
+        copy = _new(Packet)
+        copy.__dict__.update(self.__dict__, dst_ip=addr)
+        return copy

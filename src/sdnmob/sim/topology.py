@@ -43,6 +43,7 @@ from ..flow_engine import FlowMatch, PacketIn, SdnSwitch
 from ..packet import Packet, PacketKind
 from ..tap_server import (
     DEFAULT_UPDATE_INTERVAL_US,
+    UNSPECIFIED,
     TapServer,
     ZoneConfig,
 )
@@ -53,12 +54,12 @@ from .metrics import ClientEvicted, FlowExpired, FlowInstalled, MetricsTrace
 from .transport import TransportSide
 
 EXPIRY_TICK_US = 1 * US_PER_S
-BROADCAST = IPv4Address("255.255.255.255")
-ALL_ROUTERS = IPv4Address("224.0.0.2")
+BROADCAST = int(IPv4Address("255.255.255.255"))
+ALL_ROUTERS = int(IPv4Address("224.0.0.2"))
 
 CLIENT_UID = Uid("aa:bb:cc:00:00:01")
 SERVER_UID = Uid("aa:bb:cc:00:00:fe")
-SERVER_ADDR = IPv4Address("203.0.113.10")
+SERVER_ADDR = int(IPv4Address("203.0.113.10"))
 
 # Read once at import: a module global is far cheaper than an enum lookup.
 _DATA = PacketKind.DATA
@@ -107,6 +108,11 @@ class TopologyConfig:
         for name in ("link_delay_us", "control_delay_us"):
             if getattr(self, name) < 0:
                 raise ConfigurationError("delays must be non-negative", name)
+        # A keepalive tick reschedules itself one interval later: at 0 the
+        # clock would never advance.
+        if self.keepalive_interval_us <= 0:
+            raise ConfigurationError("keepalive interval must be positive",
+                                     "keepalive_interval_us")
         for z in self.zones:
             if z.dhcp_latency < 0:
                 raise ConfigurationError("dhcp latency must be non-negative", zone=z.zone_id)
@@ -151,17 +157,12 @@ class ClientHost:
         self.net = net
         self.sim = net.sim
         self.uid = uid
-        self.addr: Optional[IPv4Address] = None
-        self.addr_int = -1  # int(addr), or -1 while unaddressed
+        self.addr: Optional[int] = None
         self.zone: Optional[Zone] = None
         self.conns: Dict[int, TransportSide] = {}
         self.in_dhcp = False
 
-    def set_addr(self, addr: Optional[IPv4Address]) -> None:
-        self.addr = addr
-        self.addr_int = -1 if addr is None else int(addr)
-
-    def peer_addr(self, conn_id: int) -> IPv4Address:
+    def peer_addr(self, conn_id: int) -> int:
         return self.net.server.addr
 
     def transmit(self, pkt: Packet) -> None:
@@ -172,7 +173,7 @@ class ClientHost:
         self.zone.access_up.send(pkt)
 
     def handle(self, pkt: Packet, now: int) -> None:
-        if pkt.dst_int != self.addr_int:
+        if pkt.dst_ip != self.addr:
             self.net.host_drops += 1
             return
         side = self.conns.get(pkt.conn_id)
@@ -189,25 +190,23 @@ class ClientHost:
 
 
 class ServerConn:
-    def __init__(self, side: TransportSide, established_src: IPv4Address):
+    def __init__(self, side: TransportSide, established_src: int):
         self.side = side
         self.established_src = established_src
-        self.established_int = int(established_src)
 
 
 class ServerHost:
     """External correspondent: echoes or sinks client data, and resets a
     connection whose established source address suddenly changes."""
 
-    def __init__(self, net: "Network", uid: Uid, addr: IPv4Address):
+    def __init__(self, net: "Network", uid: Uid, addr: int):
         self.net = net
         self.sim = net.sim
         self.uid = uid
         self.addr = addr
-        self.addr_int = int(addr)
         self.conns: Dict[int, ServerConn] = {}
 
-    def peer_addr(self, conn_id: int) -> IPv4Address:
+    def peer_addr(self, conn_id: int) -> int:
         return self.conns[conn_id].established_src
 
     def transmit(self, pkt: Packet) -> None:
@@ -215,7 +214,7 @@ class ServerHost:
         self.net.ext_in.send(pkt)
 
     def handle(self, pkt: Packet, now: int) -> None:
-        if pkt.dst_int != self.addr_int:
+        if pkt.dst_ip != self.addr:
             self.net.host_drops += 1
             return
         self.net.accepted += 1
@@ -227,19 +226,18 @@ class ServerHost:
             # a connection or resets one, so only those record it.
             if conn is None:
                 conn = self._establish(pkt.conn_id, pkt.src_ip)
-                self.net.trace.server_observed_sources.add(str(pkt.src_ip))
-            elif conn.established_int != pkt.src_int:
+                self.net.trace.server_observed_sources.add(str(IPv4Address(pkt.src_ip)))
+            elif conn.established_src != pkt.src_ip:
                 self.net.trace.resets += 1
                 conn.established_src = pkt.src_ip
-                conn.established_int = pkt.src_int
-                self.net.trace.server_observed_sources.add(str(pkt.src_ip))
+                self.net.trace.server_observed_sources.add(str(IPv4Address(pkt.src_ip)))
             conn.side.receive_data(pkt)
         elif kind is _ACK:
             conn = self.conns.get(pkt.conn_id)
             if conn is not None:
                 conn.side.receive_ack(pkt)
 
-    def _establish(self, conn_id: int, src: IPv4Address) -> ServerConn:
+    def _establish(self, conn_id: int, src: int) -> ServerConn:
         def on_deliver(now: int, payload_len: int) -> None:
             self.net.note_goodput(now, payload_len)
             if conn_id in self.net.echo_conn_ids:
@@ -283,7 +281,7 @@ class Zone:
         if kind is _DHCP_DISCOVER or kind is _ROUTER_SOLICITATION:
             self.net.consumed += 1
             return
-        if pkt.dst_int in self.span:
+        if pkt.dst_ip in self.span:
             self.access_down.send(pkt)
         else:
             self.trunk_up.send(pkt)
@@ -352,16 +350,11 @@ class Network:
         return zone.handle_from_access
 
     def _zone_port(self, addr: int) -> str:
-        """The core port that reaches the address ``addr`` (an integer):
-        its zone's, else external."""
+        """The core port that reaches ``addr``: its zone's, else external."""
         for zone in self.zones.values():
             if addr in zone.span:
                 return zone.port
         return EXT_PORT
-
-    def _port_for_ip(self, addr: IPv4Address) -> str:
-        """``_zone_port`` of an ``IPv4Address``."""
-        return self._zone_port(int(addr))
 
     # -- fates ---------------------------------------------------------------------
 
@@ -400,7 +393,7 @@ class Network:
 
     # -- client attachment / mobility ---------------------------------------------
 
-    def _lease(self, zone: Zone) -> IPv4Address:
+    def _lease(self, zone: Zone) -> int:
         """The address the client takes when DHCP completes in the zone: a
         fresh draw from its pool (seed-deterministic)."""
         return zone.pool.allocate(self.rng)
@@ -416,7 +409,7 @@ class Network:
 
     def _start_dhcp(self, zone: Zone) -> None:
         discover = Packet(
-            src_ip=IPv4Address("0.0.0.0"), dst_ip=BROADCAST,
+            src_ip=UNSPECIFIED, dst_ip=BROADCAST,
             src_mac=self.client.uid, payload_len=0, seq=0,
             sent_at=self.sim.now, kind=PacketKind.DHCP_DISCOVER,
         )
@@ -425,7 +418,7 @@ class Network:
 
     def _complete_dhcp(self, zone: Zone) -> None:
         self.client.in_dhcp = False
-        self.client.set_addr(self._lease(zone))
+        self.client.addr = self._lease(zone)
         solicit = Packet(
             src_ip=self.client.addr, dst_ip=ALL_ROUTERS,
             src_mac=self.client.uid, payload_len=0, seq=0,
@@ -438,7 +431,7 @@ class Network:
     def detach_client(self) -> None:
         if self.client.zone is not None:
             self.client.zone.set_attached(False)
-        self.client.set_addr(None)
+        self.client.addr = None
         self.client.zone = None
 
     # -- traffic -------------------------------------------------------------------
@@ -509,10 +502,10 @@ class SdnNetwork(Network):
         self.controller = MobilityController(
             cfg.vpip_pool,
             self.rng,
-            port_for_ip=self._port_for_ip,
+            port_for_ip=self._zone_port,
             idle_timeout=cfg.idle_timeout_us,
         )
-        self.switch = SdnSwitch([z.dhcp_range for z in cfg.zones], self._port_for_ip)
+        self.switch = SdnSwitch([z.dhcp_range for z in cfg.zones], self._zone_port)
         self.sim.schedule_at(EXPIRY_TICK_US, self._expiry_tick)
         for zone in self.zones.values():
             self.sim.schedule_at(cfg.keepalive_interval_us, self._keepalive_tick, zone.tap)
@@ -617,14 +610,13 @@ class TunnelNetwork(Network):
     def __init__(self, cfg: TopologyConfig, tunnel: TunnelConfig):
         super().__init__(cfg, trunk_overhead_bytes=tunnel.encap_overhead_bytes)
         self.tunnel = tunnel
-        self.home_addr: Optional[IPv4Address] = None
-        self._home_int = -1  # int(home_addr), or -1 before the first lease
+        self.home_addr: Optional[int] = None
         self.bound_zone: Optional[Zone] = None
 
     def _core_handle(self, pkt: Packet, now: int) -> None:
         # A home address exists only once a binding does.
-        dst = pkt.dst_int
-        if dst == self._home_int:
+        dst = pkt.dst_ip
+        if dst == self.home_addr:
             self.bound_zone.trunk_down.send(pkt)
         else:
             self._port_links[self._zone_port(dst)].send(pkt)
@@ -638,10 +630,9 @@ class TunnelNetwork(Network):
     def _bind(self, zone: Zone) -> None:
         self.bound_zone = zone
 
-    def _lease(self, zone: Zone) -> IPv4Address:
+    def _lease(self, zone: Zone) -> int:
         if self.home_addr is None:
             self.home_addr = super()._lease(zone)
-            self._home_int = int(self.home_addr)
         return self.home_addr
 
 

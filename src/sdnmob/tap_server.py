@@ -9,8 +9,9 @@ side-effect-free on the data plane.
 
 Only the uplink is tapped: a packet going down to a client comes from
 outside the zone, so its source never passes the spoof guard and observing
-it could only count a false spoof. The buffer is keyed by the integer of
-the real IP (``Packet.src_int``) and the range check compares integers.
+it could only count a false spoof. The buffer and the range check work on
+address integers, as packets carry them; an ``IPv4Address`` is built only
+for a report the tap emits.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .controller import HostReport
 from .packet import Packet, PacketKind
 from .units import US_PER_MS, US_PER_S
 
-UNSPECIFIED = IPv4Address("0.0.0.0")
-_UNSPECIFIED_INT = int(UNSPECIFIED)
+UNSPECIFIED = 0  # 0.0.0.0
 
 # Re-reporting cadence; five simulated minutes unless the scenario overrides.
 DEFAULT_UPDATE_INTERVAL_US = 300 * US_PER_S
@@ -54,7 +54,7 @@ class ZoneConfig:
 
 @dataclass
 class TimeBufferEntry:
-    real_ip: IPv4Address
+    real_ip: int
     uid: Uid
     last_seen_ms: int
 
@@ -72,7 +72,7 @@ class TapServer:
         self._discovery_only = zone.tap_filter is TapFilter.DHCP_AND_RS_ONLY
         self._span = int_span(zone.dhcp_range)
         self.update_interval = update_interval
-        # int(real IP) -> entry
+        # real IP -> entry
         self.buffer: Dict[int, TimeBufferEntry] = {}
         self.last_emit: int = 0
         self.rejected_spoofed = 0
@@ -87,7 +87,7 @@ class TapServer:
         """
         if self._discovery_only and pkt.kind not in _DISCOVERY_KINDS:
             return None
-        src = pkt.src_int
+        src = pkt.src_ip
         now_ms = now // US_PER_MS
         # Only addressed in-range sources enter the buffer, so a buffered
         # source needs neither check below.
@@ -98,15 +98,15 @@ class TapServer:
             if now_ms > entry.last_seen_ms:
                 entry.last_seen_ms = now_ms
             return None
-        if src == _UNSPECIFIED_INT:
+        if src == UNSPECIFIED:
             self.ignored_unaddressed += 1
             return None
         if src not in self._span:
             self.rejected_spoofed += 1
             return None
         # New address, or the address changed hands (DHCP reuse): report.
-        self.buffer[src] = TimeBufferEntry(pkt.src_ip, pkt.src_mac, now_ms)
-        return HostReport(pkt.src_mac, pkt.src_ip)
+        self.buffer[src] = TimeBufferEntry(src, pkt.src_mac, now_ms)
+        return HostReport(pkt.src_mac, IPv4Address(src))
 
     def tick(self, now: int) -> List[HostReport]:
         """Keepalive pass: at each interval boundary, re-report every live
@@ -120,4 +120,4 @@ class TapServer:
                  if now_ms - e.last_seen_ms > horizon_ms]
         for ip in stale:
             del self.buffer[ip]
-        return [HostReport(e.uid, e.real_ip) for e in self.buffer.values()]
+        return [HostReport(e.uid, IPv4Address(e.real_ip)) for e in self.buffer.values()]

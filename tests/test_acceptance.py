@@ -202,7 +202,7 @@ class TestAcceptance:
                 for _ in range(rng.randrange(1, 40)):
                     t += rng.randrange(0, 40)
                     host = f"10.1.0.{rng.randrange(1, 5)}"
-                    src = IPv4Address(host)
+                    src = int(IPv4Address(host))
                     op = rng.choice(("install", "hit", "expire"))
                     if op == "install":
                         rule = snat_rule(src, IPv4Address("198.51.100.7"),
@@ -239,7 +239,7 @@ class TestAcceptance:
             assert trace.losses == 0 and trace.resets == 0
             expiries = [e.at_us for e in trace.flow_events
                         if isinstance(e, FlowExpired) and e.rule.match.src_ip
-                        and e.rule.match.src_ip in zones[0].dhcp_range]
+                        and IPv4Address(e.rule.match.src_ip) in zones[0].dhcp_range]
             assert expiries
             detach = trace.handoffs[0].detach_us
             assert expiries[0] > detach + usec(2) - usec(0.2)
@@ -284,7 +284,7 @@ class TestAcceptance:
                 if report is not None:
                     assert report.real_ip in zone.dhcp_range
             for entry in tap.buffer.values():
-                assert entry.real_ip in zone.dhcp_range
+                assert IPv4Address(entry.real_ip) in zone.dhcp_range
 
     def test_ac9_determinism(self, bundled_configs):
         with criterion("9 determinism: identical artifacts, seed-free continuity"):

@@ -1,9 +1,11 @@
-"""The per-packet path must not fall back onto ``ipaddress``: packets carry
-their addresses as integers (``Packet.src_int``/``dst_int``), and the flow
-table, tap buffers, zone range checks, host compares and the core's port
-cache use those. ``IPv4Address`` hashing and equality and ``IPv4Network``
-membership are pure-Python calls, so one per packet would cost a visible
-share of a run.
+"""The per-packet path must not fall back onto ``ipaddress``: packets,
+flow rules, mobility records, tap buffers and hosts hold addresses as
+integers, and ``IPv4Address`` appears only at the edges (configuration,
+the host-report wire form, the addresses a run reports). Its hashing,
+equality, ``int()`` and construction and ``IPv4Network`` membership are
+pure-Python calls, so one per packet would cost a visible share of a run.
+``Packet`` accepts an ``IPv4Address`` too, so a host left holding one would
+pay an ``__int__`` on every packet it sends.
 
 This counts those calls over bundled ``handoff_bulk`` (about 10k packets
 sent per mode) and requires far fewer than one per packet.
@@ -31,17 +33,23 @@ def counting(calls, name, fn):
 @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP], ids=lambda m: m.value)
 def test_handoff_bulk_keeps_ipaddress_off_the_packet_path(mode, monkeypatch):
     cfg = load_config(bundled_scenario_path("handoff_bulk"), mode="both")
-    calls = {"hash": 0, "eq": 0, "contains": 0}
+    calls = {"hash": 0, "eq": 0, "contains": 0, "int": 0, "init": 0}
+    net24 = IPv4Network("10.1.0.0/24")
     monkeypatch.setattr(IPv4Address, "__hash__",
                         counting(calls, "hash", IPv4Address.__hash__))
     monkeypatch.setattr(IPv4Address, "__eq__",
                         counting(calls, "eq", IPv4Address.__eq__))
     monkeypatch.setattr(IPv4Network, "__contains__",
                         counting(calls, "contains", IPv4Network.__contains__))
+    monkeypatch.setattr(IPv4Address, "__int__",
+                        counting(calls, "int", IPv4Address.__int__))
+    monkeypatch.setattr(IPv4Address, "__init__",
+                        counting(calls, "init", IPv4Address.__init__))
     a = IPv4Address("10.1.0.5")
-    assert a == IPv4Address(int(a)) and hash(a) and a in IPv4Network("10.1.0.0/24")
-    assert calls == {"hash": 1, "eq": 1, "contains": 1}  # the counters are live
-    calls.update(hash=0, eq=0, contains=0)
+    assert a == IPv4Address(int(a)) and hash(a) and a in net24
+    # the counters are live
+    assert calls == {"hash": 1, "eq": 1, "contains": 1, "int": 1, "init": 2}
+    calls.update(hash=0, eq=0, contains=0, int=0, init=0)
     if mode is Mode.SDN:
         net = build_topology(cfg.topology)
         trace = run_scenario(net, cfg.events)

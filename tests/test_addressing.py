@@ -7,7 +7,9 @@ from ipaddress import IPv4Address, IPv4Network
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdnmob.addressing import AddressPool, PoolExhausted, Uid, host_span, nth_free
+from sdnmob.addressing import (
+    AddressError, AddressPool, PoolExhausted, Uid, host_span, nth_free,
+)
 from sdnmob.controller import MobilityRecord, MobilityServiceTable, allocate_vpip
 
 BASE = int(IPv4Address("198.18.0.0"))
@@ -37,6 +39,20 @@ def pools_and_used(draw):
     return pool, used, draw(st.integers(0, 2**32))
 
 
+@pytest.mark.parametrize("text,valid", [
+    ("aa:bb:cc:00:00:01", True),
+    ("aa:bb:cc:00:00:01\n", False),
+    ("AA:BB:CC:00:00:01", False),
+    ("aa:bb:cc:00:00", False),
+], ids=["canonical", "trailing_newline", "uppercase", "short"])
+def test_uid_accepts_only_the_canonical_form(text, valid):
+    if valid:
+        assert Uid(text).text == Uid.from_int(int(text.replace(":", ""), 16)).text == text
+    else:
+        with pytest.raises(AddressError):
+            Uid(text)
+
+
 @pytest.mark.parametrize("prefix", range(22, 33))
 def test_host_span_matches_hosts(prefix):
     pool = IPv4Network(f"198.18.0.0/{prefix}")
@@ -59,7 +75,7 @@ def test_vpip_draw_equals_free_list_draw(case):
         with pytest.raises(PoolExhausted):
             allocate_vpip(pool, taken, rng)
     else:
-        assert allocate_vpip(pool, taken, rng) == expected
+        assert IPv4Address(allocate_vpip(pool, taken, rng)) == expected
     assert rng.getstate() == ref_rng.getstate()
 
 
@@ -73,7 +89,7 @@ def test_table_offsets_drive_free_list_draws(seed, steps):
     rng, ref_rng = random.Random(seed), random.Random(seed)
     for i, add in enumerate(steps):
         if add or not mst.records:
-            used = {r.virtual_ip for r in mst.records.values()}
+            used = {IPv4Address(r.virtual_ip) for r in mst.records.values()}
             try:
                 expected = reference_draw(hosts, used, ref_rng)
             except PoolExhausted:
@@ -81,8 +97,8 @@ def test_table_offsets_drive_free_list_draws(seed, steps):
                     allocate_vpip(pool, mst.vpip_offsets, rng)
             else:
                 vpip = allocate_vpip(pool, mst.vpip_offsets, rng)
-                assert vpip == expected
-                real_ip = IPv4Address(int(IPv4Address("10.0.0.1")) + i)
+                assert IPv4Address(vpip) == expected
+                real_ip = int(IPv4Address("10.0.0.1")) + i
                 mst.add(MobilityRecord(Uid.from_int(i), real_ip, vpip, 0))
         else:
             mst.remove(next(iter(mst.records)))
@@ -103,10 +119,10 @@ def test_pool_draws_equal_free_list_draws(prefix, seed, draws):
             with pytest.raises(PoolExhausted):
                 pool.allocate(rng)
         else:
-            assert pool.allocate(rng) == expected
+            assert IPv4Address(pool.allocate(rng)) == expected
             used.add(expected)
         assert rng.getstate() == ref_rng.getstate()
-        assert pool.used == used
+        assert {IPv4Address(a) for a in pool.used} == used
 
 
 def linear_nth_free(n, used):

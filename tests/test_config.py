@@ -125,8 +125,13 @@ class TestTopologyCheckLocation:
          "address ranges overlap: 198.51.100.0/25 and 198.51.100.0/24"),
         ("range=10.2.0.0/24", "range=10.1.0.128/25",
          "address ranges overlap: 10.1.0.0/24 and 10.1.0.128/25"),
+        ("seed = 7", "keepalive_interval_s = 0", "keepalive interval must be positive"),
+        ("seed = 7", "keepalive_interval_s = -1", "keepalive interval must be positive"),
+        ("seed = 7", "keepalive_interval_s = 0.0000001",
+         "keepalive interval must be positive"),
     ], ids=["bandwidth", "link_delay", "control_delay", "dhcp_latency",
-            "zone_in_pool", "zone_in_zone"])
+            "zone_in_pool", "zone_in_zone", "keepalive_zero", "keepalive_negative",
+            "keepalive_below_1us"])
     def test_reported_at_the_rejected_line(self, old, new, message):
         bad = GOOD.replace(old, new)
         line = next(i for i, text in enumerate(bad.splitlines(), start=1) if new in text)
@@ -241,7 +246,7 @@ def run_configs(draw):
         vpip_pool=IPv4Network(f"172.16.0.0/{draw(st.integers(12, 32))}"),
         seed=draw(st.integers(-2**63, 2**63)),
         idle_timeout_us=draw(durations_us),
-        keepalive_interval_us=draw(durations_us),
+        keepalive_interval_us=draw(st.integers(1, 10**12)),
     )
     tunnel = draw(st.none() | st.builds(
         TunnelConfig, st.integers(0, 10**6), st.none() | durations_us))

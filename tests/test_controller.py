@@ -31,9 +31,9 @@ UID2 = Uid("aa:bb:cc:00:00:02")
 
 def make_controller(seed=42):
     def port_for_ip(addr):
-        if addr in ZONE1:
+        if IPv4Address(addr) in ZONE1:
             return "zone:z1"
-        if addr in ZONE2:
+        if IPv4Address(addr) in ZONE2:
             return "zone:z2"
         return "ext"
 
@@ -81,8 +81,8 @@ class TestHostReports:
         assert isinstance(install, InstallFlows)
         record = ctrl.mst.lookup(UID1)
         assert record is not None
-        assert record.real_ip == IPv4Address("10.1.0.5")
-        assert record.virtual_ip in POOL
+        assert IPv4Address(record.real_ip) == IPv4Address("10.1.0.5")
+        assert IPv4Address(record.virtual_ip) in POOL
         assert record.last_seen == 10
         assert install.snat.match.src_ip == record.real_ip
         assert install.dnat.match.dst_ip == record.virtual_ip
@@ -95,11 +95,11 @@ class TestHostReports:
         actions = ctrl.handle_host_report(
             HostReport(UID1, IPv4Address("10.2.0.9")), now=60)
         record = ctrl.mst.lookup(UID1)
-        assert record.real_ip == IPv4Address("10.2.0.9")
+        assert IPv4Address(record.real_ip) == IPv4Address("10.2.0.9")
         assert record.virtual_ip == vpip
         assert record.last_seen == 60
         assert isinstance(actions[0], InstallFlows)
-        assert actions[0].dnat.new_addr == IPv4Address("10.2.0.9")
+        assert IPv4Address(actions[0].dnat.new_addr) == IPv4Address("10.2.0.9")
         assert actions[0].dnat.out_port == "zone:z2"
 
     def test_same_report_refreshes_only(self):
@@ -139,7 +139,7 @@ class TestHostReports:
             model[uid] = rip
         assert set(ctrl.mst.records) == set(model)
         for uid, rip in model.items():
-            assert ctrl.mst.lookup(uid).real_ip == rip
+            assert IPv4Address(ctrl.mst.lookup(uid).real_ip) == rip
         ctrl.mst.check_invariants()
 
     def test_address_reuse_displaces_previous_holder(self):
@@ -150,7 +150,7 @@ class TestHostReports:
         assert actions[0] == EvictClient(UID1)
         assert isinstance(actions[1], InstallFlows)
         assert ctrl.mst.lookup(UID1) is None
-        assert ctrl.mst.lookup(UID2).real_ip == IPv4Address("10.1.0.5")
+        assert IPv4Address(ctrl.mst.lookup(UID2).real_ip) == IPv4Address("10.1.0.5")
         ctrl.mst.check_invariants()
 
     def test_moved_client_frees_its_old_address(self):
@@ -160,11 +160,11 @@ class TestHostReports:
         old, new = IPv4Address("10.1.0.5"), IPv4Address("10.2.0.9")
         ctrl.handle_host_report(HostReport(UID1, old), now=0)
         ctrl.handle_host_report(HostReport(UID1, new), now=10)
-        assert ctrl.mst.holder_of(old) is None
-        assert ctrl.mst.holder_of(new) is ctrl.mst.lookup(UID1)
+        assert ctrl.mst.holder_of(int(old)) is None
+        assert ctrl.mst.holder_of(int(new)) is ctrl.mst.lookup(UID1)
         actions = ctrl.handle_host_report(HostReport(UID2, old), now=20)
         assert [type(a) for a in actions] == [InstallFlows]
-        assert ctrl.mst.lookup(UID1).real_ip == new
+        assert IPv4Address(ctrl.mst.lookup(UID1).real_ip) == new
         ctrl.mst.check_invariants()
 
 
@@ -175,15 +175,15 @@ class TestAllocate:
         pool = IPv4Network("192.0.2.0/30")  # hosts .1 and .2
         taken = [0]  # 192.0.2.1
         got = allocate_vpip(pool, taken, random.Random(0))
-        assert got == IPv4Address("192.0.2.2")
+        assert IPv4Address(got) == IPv4Address("192.0.2.2")
 
     def test_golden_first_draw(self):
         # documented algorithm: uniform index into the address-ordered free
         # list; for a fresh /24 and seed 42 that is offset 163.
         got = allocate_vpip(POOL, [], random.Random(42))
-        assert got == IPv4Address("198.51.100.164")
+        assert IPv4Address(got) == IPv4Address("198.51.100.164")
         hosts = list(POOL.hosts())
-        assert got == hosts[random.Random(42).randrange(len(hosts))]
+        assert IPv4Address(got) == hosts[random.Random(42).randrange(len(hosts))]
 
     def test_exhausted_pool_raises(self):
         pool = IPv4Network("192.0.2.0/30")
@@ -223,7 +223,7 @@ class TestEviction:
         assert len(ctrl.mst) == 0
         # the freed addresses allocate again
         ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=2002)
-        assert ctrl.mst.lookup(UID1).virtual_ip in pool
+        assert IPv4Address(ctrl.mst.lookup(UID1).virtual_ip) in pool
 
     def test_empty_table_noop(self):
         ctrl = make_controller()
@@ -249,14 +249,14 @@ class TestLookupAndPacketIn:
         vpip = ctrl.mst.lookup(UID1).virtual_ip
         ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.2.0.9")), now=1)
         record = ctrl.mst.lookup(UID1)
-        assert (record.real_ip, record.virtual_ip) == (IPv4Address("10.2.0.9"), vpip)
+        assert (IPv4Address(record.real_ip), record.virtual_ip) == (IPv4Address("10.2.0.9"), vpip)
 
     def test_packet_in_for_known_client_reinstalls(self):
         ctrl = make_controller()
         ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=0)
         actions = ctrl.handle_packet_in(self.packet_from(UID1), now=50)
         assert len(actions) == 1 and isinstance(actions[0], InstallFlows)
-        assert actions[0].snat.match.src_ip == IPv4Address("10.1.0.5")
+        assert IPv4Address(actions[0].snat.match.src_ip) == IPv4Address("10.1.0.5")
 
     def test_packet_in_for_unknown_client_noop(self):
         ctrl = make_controller()

@@ -29,8 +29,8 @@ def test_wire_bytes_survives_every_copy(kind, payload):
     p = make(kind, payload, conn_id=2, ack=5)
     want = expected_wire(kind, payload)
     assert p.wire_bytes == want
-    assert p.with_src(IPv4Address("198.51.100.7")).wire_bytes == want
-    assert p.with_dst(IPv4Address("10.2.0.9")).wire_bytes == want
+    assert p.with_src(int(IPv4Address("198.51.100.7"))).wire_bytes == want
+    assert p.with_dst(int(IPv4Address("10.2.0.9"))).wire_bytes == want
     assert dataclasses.replace(p, seq=99).wire_bytes == want
     assert dataclasses.replace(p, payload_len=payload + 1).wire_bytes == \
         expected_wire(kind, payload + 1)
@@ -74,3 +74,14 @@ def test_construction_still_validates():
 def test_defaults_apply():
     p = Packet(SRC, DST, UID, 0, 0, 0, PacketKind.ACK)
     assert (p.conn_id, p.ack) == (0, None)
+
+
+def test_addresses_are_held_as_integers():
+    """The constructor takes an ``IPv4Address`` or its integer and keeps the
+    integer; a rewrite gives the packet the constructor would build."""
+    p = make(conn_id=2, ack=5)
+    assert p == Packet(int(SRC), int(DST), UID, 100, 3, 7, PacketKind.DATA, 2, 5)
+    assert (p.src_ip, p.dst_ip) == (int(SRC), int(DST))
+    a = int(IPv4Address("198.51.100.7"))
+    assert vars(p.with_src(a)) == vars(Packet(a, DST, UID, 100, 3, 7, PacketKind.DATA, 2, 5))
+    assert vars(p.with_dst(a)) == vars(Packet(SRC, a, UID, 100, 3, 7, PacketKind.DATA, 2, 5))

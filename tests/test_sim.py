@@ -178,7 +178,7 @@ class TestMoveAndDhcp:
         pool = net.zones["tiny"].pool
         first = pool.allocate(net.rng)
         second = pool.allocate(net.rng)
-        assert {str(first), str(second)} == {"192.0.2.1", "192.0.2.2"}
+        assert {str(IPv4Address(a)) for a in (first, second)} == {"192.0.2.1", "192.0.2.2"}
         with pytest.raises(PoolExhausted):
             pool.allocate(net.rng)
 
@@ -187,8 +187,8 @@ class TestMoveAndDhcp:
         events = [StartEcho(0, usec(0.05), 100), Stop(usec(3))]
         trace = run_scenario(net, events)
         record = net.controller.mst.lookup(net.client.uid)
-        assert trace.server_observed_sources == {str(record.virtual_ip)}
-        assert record.virtual_ip in net.cfg.vpip_pool
+        assert trace.server_observed_sources == {str(IPv4Address(record.virtual_ip))}
+        assert IPv4Address(record.virtual_ip) in net.cfg.vpip_pool
 
     def test_zone_revisit_gets_new_lease_and_survives(self):
         cfg = load_config(bundled_scenario_path("ping_pong"), mode="sdn")
@@ -490,7 +490,7 @@ class TestBystanders:
         mover = mst.lookup(net.client.uid)
         assert mover.virtual_ip == first_snat.new_addr
         assert mover.real_ip != first_snat.match.src_ip
-        assert mover.real_ip in net.zones["zone2"].cfg.dhcp_range
+        assert IPv4Address(mover.real_ip) in net.zones["zone2"].cfg.dhcp_range
         assert len(mst) == len(population) + 1
         mst.check_invariants()
 
@@ -595,7 +595,7 @@ class TestFlowLifecycleEndToEnd:
         old_range = cfg.zones[0].dhcp_range
         expirations = [e.at_us for e in trace.flow_events
                        if isinstance(e, FlowExpired) and e.rule.match.src_ip
-                       and e.rule.match.src_ip in old_range]
+                       and IPv4Address(e.rule.match.src_ip) in old_range]
         assert expirations, "old source translation must eventually expire"
         first_expiry = expirations[0]
         # the rule's last hit is at most one echo round before the detach, so

@@ -132,8 +132,8 @@ class TestSpoofGuardProperty:
             if report is not None:
                 assert report.real_ip in ZONE.dhcp_range
         for entry in tap.buffer.values():
-            assert entry.real_ip in ZONE.dhcp_range
-            assert str(entry.real_ip) != "0.0.0.0"
+            assert IPv4Address(entry.real_ip) in ZONE.dhcp_range
+            assert str(IPv4Address(entry.real_ip)) != "0.0.0.0"
 
     @given(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 5)), max_size=60))
     @settings(max_examples=200)
@@ -144,7 +144,7 @@ class TestSpoofGuardProperty:
         for host, uid_val in stream:
             pkt = tapped(f"10.1.0.{host}", uid=Uid.from_int(uid_val))
             tap.observe_packet(pkt, now=usec(1))
-            live[pkt.src_ip] = pkt.src_mac
+            live[IPv4Address(pkt.src_ip)] = pkt.src_mac
         reports = tap.tick(now=interval)
         assert {r.real_ip: r.uid for r in reports} == live
         assert len(reports) == len(live)

@@ -98,7 +98,7 @@ class TestSender:
         side.flush_all()
         flushed = host.sent[3:]
         assert [p.seq for p in flushed] == [0, 1, 2, 3]
-        assert all(str(p.src_ip) == "10.2.0.9" for p in flushed)
+        assert all(str(IPv4Address(p.src_ip)) == "10.2.0.9" for p in flushed)
 
     def test_rtt_sampled_only_for_unretransmitted(self):
         samples = Series()

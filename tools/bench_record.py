@@ -15,7 +15,10 @@ It writes ``BENCH_<pr>.json`` at the root of the checkout with:
 - ``correct``: whether every run kept the paper's invariants and matched
   the golden artifacts;
 
-plus the measured commit, the tracked files that differ from it, the
+plus ``opcodes``, the bytecodes each bundled scenario executes in each mode,
+in total and per module (``tools/opcount.py``), with the interpreter that
+counted them, since the counts hold for one CPython minor version only;
+and the measured commit, the tracked files that differ from it, the
 Python version and the machine. The benchmark writes its scenarios to one
 directory per checkout, so run nothing else on the same checkout meanwhile.
 """
@@ -29,6 +32,8 @@ import platform
 import statistics
 import subprocess
 import sys
+
+import opcount
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench", "run.py")
@@ -86,6 +91,11 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         print(f"recording {workload}", file=sys.stderr)
         report["workloads"][workload] = record(workload)
+    print("counting opcodes", file=sys.stderr)
+    report["opcodes"] = {
+        "interpreter": f"{sys.implementation.name} {platform.python_version()}",
+        "scenarios": opcount.count_all(),
+    }
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
