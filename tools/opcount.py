@@ -14,6 +14,7 @@ cheaper than it is.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections import Counter
@@ -44,11 +45,18 @@ def count(scenario: str, mode: str) -> Dict[str, object]:
         frame.f_trace_opcodes = True
         return local
 
+    # A collection can run Python callbacks (``gc.callbacks``, finalizers)
+    # whose timing depends on what the process did before, so none runs
+    # while counting.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     sys.settrace(on_call)
     try:
         run_scenario(net, cfg.events)
     finally:
         sys.settrace(None)
+        if gc_was_enabled:
+            gc.enable()
     modules: Counter = Counter()
     for path, n in files.items():
         inside = path.startswith(SRC + os.sep)
