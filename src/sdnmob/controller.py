@@ -16,7 +16,7 @@ from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .addressing import AddressError, PoolExhausted, Uid, host_span, int_span, nth_free
-from .flow_engine import FlowRule, dnat_rule, snat_rule
+from .flow_engine import EXT_PORT, FlowRule, dnat_rule, snat_rule
 from .units import US_PER_S
 
 # Flows installed on the core router carry this idle limit unless the
@@ -25,10 +25,6 @@ DEFAULT_IDLE_TIMEOUT_US = 30 * US_PER_S
 
 # A record is evicted after this many keepalive intervals of silence.
 LIVENESS_WINDOW_FACTOR = 2.5
-
-# The core router's port toward the provider network, where translated
-# traffic leaves.
-EXT_PORT = "ext"
 
 # 255.255.255.255, the limited broadcast address, as an integer.
 _LIMITED_BROADCAST = 0xFFFF_FFFF

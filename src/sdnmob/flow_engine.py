@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from ipaddress import IPv4Network
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .addressing import int_span
 from .packet import Packet, PacketKind
 from .units import US_PER_S
 
@@ -24,6 +22,10 @@ from .units import US_PER_S
 # source is an unknown local address. DHCP and router solicitations are
 # handled at the distribution layer and never escalate.
 ESCALATED_KINDS = frozenset({PacketKind.DATA, PacketKind.ACK})
+
+# The core router's port toward the provider network, where translated
+# traffic leaves. Every other port leads to a local zone.
+EXT_PORT = "ext"
 
 PACKET_IN_BUFFER_CAPACITY = 64
 PACKET_IN_BUFFER_TIMEOUT_US = 1 * US_PER_S
@@ -234,29 +236,19 @@ class SdnSwitch:
     """Data-plane state of the core router: NAT table, default routing and
     the packet-in buffer.
 
-    ``route_port`` maps a destination address to the port the default rule
-    forwards on (the plain routing table the device had before SDN), so the
-    default rule's own port is only a label. A buffered packet is dropped
-    once it has waited ``PACKET_IN_BUFFER_TIMEOUT_US``.
+    ``route_port`` maps an address to the port that reaches it (the plain
+    routing table the device had before SDN): the default rule forwards on
+    the destination's port, so its own port is only a label, and a source
+    is local when its port is not ``EXT_PORT``. A buffered packet is
+    dropped once it has waited ``PACKET_IN_BUFFER_TIMEOUT_US``.
     """
 
-    def __init__(
-        self,
-        local_ranges: Sequence[IPv4Network],
-        route_port: Callable[[int], str],
-    ) -> None:
+    def __init__(self, route_port: Callable[[int], str]) -> None:
         self.table = FlowTable()
         self.default_rule = self.table.install_default("route")
-        self._local_spans = tuple(int_span(net) for net in local_ranges)
         self.route_port = route_port
         self.pending: Deque[BufferedPacket] = deque()
         self.buffer_drops = 0
-
-    def _is_local(self, addr: int) -> bool:
-        for span in self._local_spans:
-            if addr in span:
-                return True
-        return False
 
     def process_packet(self, pkt: Packet, now: int) -> ForwardDecision:
         """Classify one packet.
@@ -269,7 +261,7 @@ class SdnSwitch:
         rule = self.table.match_packet(pkt, now)
         if rule is not self.default_rule:
             return apply_actions(rule, pkt)
-        if pkt.kind in ESCALATED_KINDS and self._is_local(pkt.src_ip):
+        if pkt.kind in ESCALATED_KINDS and self.route_port(pkt.src_ip) != EXT_PORT:
             self._buffer(pkt, now)
             return PacketIn(pkt)
         return Forwarded(pkt, self.route_port(pkt.dst_ip))

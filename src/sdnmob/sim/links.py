@@ -9,6 +9,10 @@ that would still be on it.
 ``overhead_bytes`` models tunnel encapsulation on that segment: the wire
 time charged per packet grows, the packet itself is untouched.
 
+A link hands each arriving packet to its one receiver, ``deliver(pkt)``; a
+receiver that needs the time reads it from the simulator. A link counts its
+own drops, one integer per reason: ``down_at_send`` and ``down_at_arrival``.
+
 ``Link.in_flight`` counts the packets sent and not yet arrived: ``send``
 raises it when it schedules the arrival, and the arrival lowers it whether
 the packet is delivered or dropped there. The arrival is scheduled as
@@ -17,7 +21,7 @@ the packet is delivered or dropped there. The arrival is scheduled as
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..packet import Packet
 from ..units import US_PER_S
@@ -35,8 +39,7 @@ class Link:
         name: str,
         bandwidth_bps: int,
         delay_us: int,
-        deliver: Callable[[Packet, int], None],
-        on_drop: Optional[Callable[[Packet, str], None]] = None,
+        deliver: Callable[[Packet], None],
         overhead_bytes: int = 0,
     ) -> None:
         self.sim = sim
@@ -44,16 +47,17 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.delay_us = delay_us
         self.deliver = deliver
-        self.on_drop = on_drop
         self.overhead_bytes = overhead_bytes
         self.up = True
         self.in_flight = 0
+        self.down_at_send = 0
+        self.down_at_arrival = 0
         self._busy_until = 0
 
     def send(self, pkt: Packet) -> bool:
         """Queue a packet for transmission; False if dropped at the sender."""
         if not self.up:
-            self._drop(pkt, "link down at send")
+            self.down_at_send += 1
             return False
         sim = self.sim
         start = sim.now if sim.now > self._busy_until else self._busy_until
@@ -67,14 +71,10 @@ class Link:
 
     def _arrive(self, pkt: Packet) -> None:
         self.in_flight -= 1
-        if not self.up:
-            self._drop(pkt, "link down at arrival")
-            return
-        self.deliver(pkt, self.sim.now)
-
-    def _drop(self, pkt: Packet, reason: str) -> None:
-        if self.on_drop is not None:
-            self.on_drop(pkt, reason)
+        if self.up:
+            self.deliver(pkt)
+        else:
+            self.down_at_arrival += 1
 
     def set_up(self, up: bool) -> None:
         self.up = up

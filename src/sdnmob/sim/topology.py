@@ -4,11 +4,12 @@ one mobile client, one external server.
 ``Network`` is the routed network both modes share: hosts, zones, links,
 DHCP, metrics and quiescence. Each mode adds its core to it. Each zone's
 state lives in one ``Zone`` in ``Network.zones``. Every transmission ends
-in one fate, an integer attribute of the network: ``accepted`` by a host,
-``consumed`` at a zone gateway, or dropped at a host (``host_drops``) or on
-a link (``link_drops``). Everything else the run records goes straight into
-``Network.trace``, the ``MetricsTrace`` the run returns; ``finalize`` adds
-the losses and folds the fates into its counters.
+in one fate: ``accepted`` by a host, ``consumed`` at a zone gateway, dropped
+at a host (``host_drops``), or dropped on a link, which counts its own drops
+by reason (``Network.link_drops`` holds only sends while detached).
+Everything else the run records goes straight into ``Network.trace``, the
+``MetricsTrace`` the run returns; ``finalize`` adds the losses and folds
+the fates into its counters.
 
 ``SdnNetwork`` adds the least set of SDN features: per-zone tap servers, the
 controller and a flow-table core that translates the client's zone-local
@@ -29,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..addressing import AddressPool, Uid, check_disjoint, int_span
 from ..controller import (
-    EXT_PORT,
     ControlAction,
     EvictClient,
     HostReport,
@@ -39,7 +39,7 @@ from ..controller import (
     DEFAULT_IDLE_TIMEOUT_US,
     LIVENESS_WINDOW_FACTOR,
 )
-from ..flow_engine import FlowMatch, PacketIn, SdnSwitch
+from ..flow_engine import EXT_PORT, FlowMatch, PacketIn, SdnSwitch
 from ..packet import Packet, PacketKind
 from ..tap_server import (
     DEFAULT_UPDATE_INTERVAL_US,
@@ -67,7 +67,7 @@ _ACK = PacketKind.ACK
 _DHCP_DISCOVER = PacketKind.DHCP_DISCOVER
 _ROUTER_SOLICITATION = PacketKind.ROUTER_SOLICITATION
 
-Deliver = Callable[[Packet, int], None]
+Deliver = Callable[[Packet], None]
 
 
 class ConfigurationError(ValueError):
@@ -108,14 +108,24 @@ class TopologyConfig:
         for name in ("link_delay_us", "control_delay_us"):
             if getattr(self, name) < 0:
                 raise ConfigurationError("delays must be non-negative", name)
+        if self.idle_timeout_us < 0:
+            raise ConfigurationError("idle timeout must be non-negative", "idle_timeout_us")
         # A keepalive tick reschedules itself one interval later: at 0 the
         # clock would never advance.
         if self.keepalive_interval_us <= 0:
             raise ConfigurationError("keepalive interval must be positive",
                                      "keepalive_interval_us")
+        # Traffic for a lease or a vpIP equal to the server's address would
+        # be routed to a zone or translated at the core, never to the server.
         for z in self.zones:
             if z.dhcp_latency < 0:
                 raise ConfigurationError("dhcp latency must be non-negative", zone=z.zone_id)
+            if SERVER_ADDR in z.span:
+                raise ConfigurationError(f"zone range {z.dhcp_range} holds the server "
+                                         f"address {IPv4Address(SERVER_ADDR)}", zone=z.zone_id)
+        if SERVER_ADDR in int_span(self.vpip_pool):
+            raise ConfigurationError(f"vpip pool {self.vpip_pool} holds the server "
+                                     f"address {IPv4Address(SERVER_ADDR)}", "vpip_pool")
         ranges = [z.dhcp_range for z in self.zones] + [self.vpip_pool]
         overlap = check_disjoint(ranges)
         if overlap is not None:
@@ -142,6 +152,9 @@ class TunnelConfig:
         if self.encap_overhead_bytes < 0:
             raise ConfigurationError("encapsulation overhead cannot be negative",
                                      "encap_overhead_bytes")
+        if self.binding_update_delay_us is not None and self.binding_update_delay_us < 0:
+            raise ConfigurationError("binding update delay must be non-negative",
+                                     "binding_update_delay_us")
 
     def resolved_binding_delay(self, control_delay_us: int) -> int:
         if self.binding_update_delay_us is not None:
@@ -172,7 +185,7 @@ class ClientHost:
             return
         self.zone.access_up.send(pkt)
 
-    def handle(self, pkt: Packet, now: int) -> None:
+    def handle(self, pkt: Packet) -> None:
         if pkt.dst_ip != self.addr:
             self.net.host_drops += 1
             return
@@ -183,7 +196,9 @@ class ClientHost:
         self.net.accepted += 1
         kind = pkt.kind
         if kind is _DATA:
-            self.net.note_delivery(now)
+            # Simulated time never decreases, so the latest delivery is the
+            # last one.
+            self.net.trace.end_of_traffic_us = self.sim.now
             side.receive_data(pkt)
         elif kind is _ACK:
             side.receive_ack(pkt)
@@ -213,24 +228,29 @@ class ServerHost:
         self.net.transmissions += 1
         self.net.ext_in.send(pkt)
 
-    def handle(self, pkt: Packet, now: int) -> None:
+    def handle(self, pkt: Packet) -> None:
         if pkt.dst_ip != self.addr:
             self.net.host_drops += 1
             return
         self.net.accepted += 1
         kind = pkt.kind
         if kind is _DATA:
-            self.net.note_server_data(pkt, now)
+            trace = self.net.trace
+            now = trace.end_of_traffic_us = self.sim.now
+            if trace.handoffs:
+                h = trace.handoffs[-1]
+                if h.first_delivery_us is None and pkt.sent_at > h.detach_us:
+                    h.first_delivery_us = now
             conn = self.conns.get(pkt.conn_id)
             # A data packet's source is new to the server only when it opens
             # a connection or resets one, so only those record it.
             if conn is None:
                 conn = self._establish(pkt.conn_id, pkt.src_ip)
-                self.net.trace.server_observed_sources.add(str(IPv4Address(pkt.src_ip)))
+                trace.server_observed_sources.add(str(IPv4Address(pkt.src_ip)))
             elif conn.established_src != pkt.src_ip:
-                self.net.trace.resets += 1
+                trace.resets += 1
                 conn.established_src = pkt.src_ip
-                self.net.trace.server_observed_sources.add(str(IPv4Address(pkt.src_ip)))
+                trace.server_observed_sources.add(str(IPv4Address(pkt.src_ip)))
             conn.side.receive_data(pkt)
         elif kind is _ACK:
             conn = self.conns.get(pkt.conn_id)
@@ -238,8 +258,10 @@ class ServerHost:
                 conn.side.receive_ack(pkt)
 
     def _establish(self, conn_id: int, src: int) -> ServerConn:
+        deliveries = self.net.trace.deliveries
+
         def on_deliver(now: int, payload_len: int) -> None:
-            self.net.note_goodput(now, payload_len)
+            deliveries.append(now, payload_len * 8)
             if conn_id in self.net.echo_conn_ids:
                 conn.side.submit(payload_len)
 
@@ -263,20 +285,22 @@ class Zone:
         # Leases persist for the run, so revisiting a zone yields a different
         # address; translation keeps the session alive regardless.
         self.pool = AddressPool(cfg.dhcp_range)
-        self.span = int_span(cfg.dhcp_range)  # the range as integers
+        self.span = cfg.span
         self.port = f"zone:{zid}"
         self.tap: Optional[TapServer] = None
         self.access_up = net._link(f"access-up:{zid}", net._uplink(self))
         self.access_down = net._link(f"access-down:{zid}", net.client.handle)
         self.trunk_up = net._link(f"trunk-up:{zid}", net._core_handle, trunk_overhead)
-        self.trunk_down = net._link(f"trunk-down:{zid}", self.handle_from_core, trunk_overhead)
+        # The core sends a zone only traffic for the zone's own leases, or
+        # (tunnel mode) for the home address it bound to this zone.
+        self.trunk_down = net._link(f"trunk-down:{zid}", self.access_down.send, trunk_overhead)
         self.set_attached(False)  # the client starts detached everywhere
 
     def set_attached(self, attached: bool) -> None:
         self.access_up.set_up(attached)
         self.access_down.set_up(attached)
 
-    def handle_from_access(self, pkt: Packet, now: int) -> None:
+    def handle_from_access(self, pkt: Packet) -> None:
         kind = pkt.kind
         if kind is _DHCP_DISCOVER or kind is _ROUTER_SOLICITATION:
             self.net.consumed += 1
@@ -285,11 +309,6 @@ class Zone:
             self.access_down.send(pkt)
         else:
             self.trunk_up.send(pkt)
-
-    def handle_from_core(self, pkt: Packet, now: int) -> None:
-        # The core sends a zone only traffic for the zone's own leases, or
-        # (tunnel mode) for the home address it bound to this zone.
-        self.access_down.send(pkt)
 
 
 class Network:
@@ -311,7 +330,7 @@ class Network:
         self.accepted = 0
         self.consumed = 0
         self.host_drops = 0
-        self.link_drops = 0
+        self.link_drops = 0  # sent while attached nowhere
 
         # liveness accounting for quiescence detection (packets in flight
         # are counted on the links)
@@ -343,7 +362,7 @@ class Network:
     def _link(self, name: str, deliver: Deliver, overhead: int = 0) -> Link:
         cfg = self.cfg
         return Link(self.sim, name, cfg.link_bandwidth_bps, cfg.link_delay_us,
-                    deliver=deliver, on_drop=self._on_drop, overhead_bytes=overhead)
+                    deliver=deliver, overhead_bytes=overhead)
 
     def _uplink(self, zone: Zone) -> Deliver:
         """Where ``zone``'s access-up link delivers."""
@@ -356,27 +375,6 @@ class Network:
                 return zone.port
         return EXT_PORT
 
-    # -- fates ---------------------------------------------------------------------
-
-    def _on_drop(self, pkt: Packet, reason: str) -> None:
-        self.link_drops += 1
-
-    # The server calls note_goodput only right after note_server_data.
-    def note_goodput(self, now: int, payload_len: int) -> None:
-        self.trace.deliveries.append(now, payload_len * 8)
-
-    # Simulated time never decreases, so the latest delivery is the last one.
-    def note_delivery(self, now: int) -> None:
-        self.trace.end_of_traffic_us = now
-
-    def note_server_data(self, pkt: Packet, now: int) -> None:
-        trace = self.trace
-        trace.end_of_traffic_us = now
-        if trace.handoffs:
-            h = trace.handoffs[-1]
-            if h.first_delivery_us is None and pkt.sent_at > h.detach_us:
-                h.first_delivery_us = now
-
     # -- control channel and core ------------------------------------------------
 
     def _control_send(self, delay: int, fn: Callable[..., None], *args) -> None:
@@ -388,7 +386,7 @@ class Network:
         self.control_outstanding -= 1
         fn(*args)
 
-    def _core_handle(self, pkt: Packet, now: int) -> None:
+    def _core_handle(self, pkt: Packet) -> None:
         raise NotImplementedError
 
     # -- client attachment / mobility ---------------------------------------------
@@ -476,7 +474,8 @@ class Network:
             losses += server_submitted - client_side.delivered_segments
         fates = {"transmissions": self.transmissions, "accepted": self.accepted,
                  "consumed": self.consumed, "host_drops": self.host_drops,
-                 "link_drops": self.link_drops}
+                 "link_drops": self.link_drops + sum(
+                     link.down_at_send + link.down_at_arrival for link in self.links)}
         counters = {key: n for key, n in fates.items() if n}
         counters["retransmissions"] = sum(
             s.retransmissions for s in self.client.conns.values()
@@ -505,7 +504,7 @@ class SdnNetwork(Network):
             port_for_ip=self._zone_port,
             idle_timeout=cfg.idle_timeout_us,
         )
-        self.switch = SdnSwitch([z.dhcp_range for z in cfg.zones], self._zone_port)
+        self.switch = SdnSwitch(self._zone_port)
         self.sim.schedule_at(EXPIRY_TICK_US, self._expiry_tick)
         for zone in self.zones.values():
             self.sim.schedule_at(cfg.keepalive_interval_us, self._keepalive_tick, zone.tap)
@@ -516,12 +515,13 @@ class SdnNetwork(Network):
         # outside the zone and could only count as a spoof.
         tap = zone.tap = TapServer(zone.cfg, update_interval=self.cfg.keepalive_interval_us)
         gateway = zone.handle_from_access
+        sim = self.sim
 
-        def up(pkt: Packet, now: int) -> None:
-            report = tap.observe_packet(pkt, now)
+        def up(pkt: Packet) -> None:
+            report = tap.observe_packet(pkt, sim.now)
             if report is not None:
                 self._send_report(report)
-            gateway(pkt, now)
+            gateway(pkt)
         return up
 
     # -- tap / control plane ----------------------------------------------------
@@ -564,8 +564,8 @@ class SdnNetwork(Network):
 
     # -- core router -------------------------------------------------------------
 
-    def _core_handle(self, pkt: Packet, now: int) -> None:
-        decision = self.switch.process_packet(pkt, now)
+    def _core_handle(self, pkt: Packet) -> None:
+        decision = self.switch.process_packet(pkt, self.sim.now)
         if decision.__class__ is PacketIn:
             self._control_send(self.cfg.control_delay_us,
                                self._controller_packet_in, pkt)
@@ -613,7 +613,7 @@ class TunnelNetwork(Network):
         self.home_addr: Optional[int] = None
         self.bound_zone: Optional[Zone] = None
 
-    def _core_handle(self, pkt: Packet, now: int) -> None:
+    def _core_handle(self, pkt: Packet) -> None:
         # A home address exists only once a binding does.
         dst = pkt.dst_ip
         if dst == self.home_addr:

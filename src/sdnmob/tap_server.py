@@ -17,7 +17,7 @@ for a report the tap emits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from ipaddress import IPv4Address, IPv4Network
 from typing import Dict, List, Optional
 
@@ -50,6 +50,12 @@ class ZoneConfig:
     dhcp_range: IPv4Network
     dhcp_latency: int = 100 * US_PER_MS  # microseconds
     tap_filter: TapFilter = TapFilter.ALL_PACKETS
+    # The range as integers, computed once for the gateway, the core's port
+    # lookup and the tap's spoof guard.
+    span: range = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "span", int_span(self.dhcp_range))
 
 
 @dataclass
@@ -70,7 +76,7 @@ class TapServer:
         self.zone = zone
         # Read once here, not on every tapped packet.
         self._discovery_only = zone.tap_filter is TapFilter.DHCP_AND_RS_ONLY
-        self._span = int_span(zone.dhcp_range)
+        self._span = zone.span
         self.update_interval = update_interval
         # real IP -> entry
         self.buffer: Dict[int, TimeBufferEntry] = {}

@@ -110,10 +110,17 @@ class TestParse:
         with pytest.raises(ConfigError, match="t.ini:18: encapsulation overhead"):
             parse_scenario(bad, source="t.ini")
 
+    def test_zero_idle_timeout_and_binding_update_delay_load(self):
+        text = GOOD.replace("seed = 7", "seed = 7\nidle_timeout_s = 0").replace(
+            "binding_update_delay_s = 0.01", "binding_update_delay_s = 0")
+        topology, _, tunnel = parse_scenario(text)
+        assert topology.idle_timeout_us == 0
+        assert tunnel.binding_update_delay_us == 0
+
 
 class TestTopologyCheckLocation:
-    """Each TopologyConfig check is reported at the line of the key or the
-    zone it rejects, not at the last [topology] line."""
+    """Each TopologyConfig and TunnelConfig check is reported at the line of
+    the key or the zone it rejects, not at the last line of its section."""
 
     @pytest.mark.parametrize("old,new,message", [
         ("link_bandwidth_bps = 10000000", "link_bandwidth_bps = 0",
@@ -129,9 +136,17 @@ class TestTopologyCheckLocation:
         ("seed = 7", "keepalive_interval_s = -1", "keepalive interval must be positive"),
         ("seed = 7", "keepalive_interval_s = 0.0000001",
          "keepalive interval must be positive"),
+        ("range=10.2.0.0/24", "range=203.0.113.0/24",
+         "zone range 203.0.113.0/24 holds the server address 203.0.113.10"),
+        ("vpip_pool = 198.51.100.0/24", "vpip_pool = 203.0.113.10/32",
+         "vpip pool 203.0.113.10/32 holds the server address 203.0.113.10"),
+        ("seed = 7", "idle_timeout_s = -1", "idle timeout must be non-negative"),
+        ("binding_update_delay_s = 0.01", "binding_update_delay_s = -0.01",
+         "binding update delay must be non-negative"),
     ], ids=["bandwidth", "link_delay", "control_delay", "dhcp_latency",
             "zone_in_pool", "zone_in_zone", "keepalive_zero", "keepalive_negative",
-            "keepalive_below_1us"])
+            "keepalive_below_1us", "zone_holds_server", "pool_holds_server",
+            "idle_timeout_negative", "binding_update_delay_negative"])
     def test_reported_at_the_rejected_line(self, old, new, message):
         bad = GOOD.replace(old, new)
         line = next(i for i, text in enumerate(bad.splitlines(), start=1) if new in text)

@@ -80,7 +80,7 @@ class TestLinkTiming:
         sim = Simulator()
         arrivals = []
         link = Link(sim, "l", 10_000_000, 1_000,
-                    deliver=lambda p, now: arrivals.append(now))
+                    deliver=lambda p: arrivals.append(sim.now))
         link.send(pkt())  # 1500 B wire -> 1200 us + 1000 us
         sim.run()
         assert arrivals == [2200]
@@ -89,7 +89,7 @@ class TestLinkTiming:
         sim = Simulator()
         arrivals = []
         link = Link(sim, "l", 10_000_000, 1_000,
-                    deliver=lambda p, now: arrivals.append((p.seq, now)))
+                    deliver=lambda p: arrivals.append((p.seq, sim.now)))
         link.send(pkt(seq=0))
         link.send(pkt(seq=1))
         sim.run()
@@ -99,31 +99,28 @@ class TestLinkTiming:
         sim = Simulator()
         arrivals = []
         link = Link(sim, "l", 10_000_000, 1_000, overhead_bytes=40,
-                    deliver=lambda p, now: arrivals.append(now))
+                    deliver=lambda p: arrivals.append(sim.now))
         link.send(pkt())  # 1540 B on the wire
         sim.run()
         assert arrivals == [2232]
 
     def test_down_at_send_drops(self):
         sim = Simulator()
-        drops = []
-        link = Link(sim, "l", 10_000_000, 1_000,
-                    deliver=lambda p, now: None,
-                    on_drop=lambda p, reason: drops.append(reason))
+        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None)
         link.set_up(False)
         assert link.send(pkt()) is False
-        assert drops == ["link down at send"]
+        assert (link.down_at_send, link.down_at_arrival) == (1, 0)
 
     def test_down_at_arrival_drops_in_flight(self):
         sim = Simulator()
         outcomes = []
         link = Link(sim, "l", 10_000_000, 1_000,
-                    deliver=lambda p, now: outcomes.append("delivered"),
-                    on_drop=lambda p, reason: outcomes.append(reason))
+                    deliver=lambda p: outcomes.append("delivered"))
         link.send(pkt())
         sim.schedule_at(100, lambda: link.set_up(False))
         sim.run()
-        assert outcomes == ["link down at arrival"]
+        assert outcomes == []
+        assert (link.down_at_send, link.down_at_arrival) == (0, 1)
 
 
 class TestInFlight:
@@ -131,7 +128,7 @@ class TestInFlight:
         sim = Simulator()
         seen = []
         link = Link(sim, "l", 10_000_000, 1_000,
-                    deliver=lambda p, now: seen.append(link.in_flight))
+                    deliver=lambda p: seen.append(link.in_flight))
         assert link.in_flight == 0
         link.send(pkt(seq=0))
         link.send(pkt(seq=1))
@@ -143,20 +140,18 @@ class TestInFlight:
 
     def test_falls_when_dropped_at_arrival(self):
         sim = Simulator()
-        drops = []
-        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p, now: None,
-                    on_drop=lambda p, reason: drops.append(link.in_flight))
+        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None)
         link.send(pkt())
         sim.schedule_at(100, lambda: link.set_up(False))
         sim.run(until=100)
         assert link.in_flight == 1
         sim.run()
-        assert drops == [0]
+        assert link.down_at_arrival == 1
         assert link.in_flight == 0
 
     def test_drop_at_send_never_counts(self):
         sim = Simulator()
-        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p, now: None)
+        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None)
         link.set_up(False)
         assert link.send(pkt()) is False
         assert link.in_flight == 0

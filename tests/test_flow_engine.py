@@ -447,7 +447,6 @@ class TestLifecycleModel:
 class TestSwitch:
     def make_switch(self):
         return SdnSwitch(
-            local_ranges=[LOCAL],
             route_port=lambda dst: "zone:z1" if IPv4Address(dst) in LOCAL else "ext",
         )
 

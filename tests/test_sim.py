@@ -1,6 +1,7 @@
 """End-to-end simulation behavior: topology build, mobility, baselines,
 conservation and causality."""
 
+import dataclasses
 import itertools
 from ipaddress import IPv4Address, IPv4Network
 
@@ -29,7 +30,7 @@ from sdnmob.sim.metrics import ComparisonError, FlowExpired, FlowInstalled
 from sdnmob.sim.runner import move_client, validate_events
 from sdnmob.sim.runner import StartBulkTransfer
 from sdnmob.sim.topology import SERVER_ADDR, SERVER_UID, ConfigurationError
-from sdnmob.tap_server import ZoneConfig
+from sdnmob.tap_server import TapFilter, ZoneConfig
 from sdnmob.units import US_PER_S, usec
 
 from campus import campus_network, campus_population, register
@@ -539,6 +540,35 @@ class TestFlowRefresh:
         assert snat.last_hit == usec(10)
         dnat = rules[FlowMatch(dst_ip=record.virtual_ip)]
         assert dnat.last_hit == usec(10)
+
+
+class TestTapFilterLiveness:
+    """``handoff_basic`` in SDN mode with a one-second keepalive, so that
+    the tap's staleness horizon and the controller's liveness window both
+    pass within the ten seconds before the move."""
+
+    @staticmethod
+    def run(tap_filter):
+        cfg = load_config(bundled_scenario_path("handoff_basic"), mode="sdn")
+        zones = tuple(dataclasses.replace(z, tap_filter=tap_filter)
+                      for z in cfg.topology.zones)
+        topology = dataclasses.replace(cfg.topology, zones=zones,
+                                       keepalive_interval_us=US_PER_S)
+        return run_scenario(build_topology(topology), cfg.events)
+
+    def test_all_packets_filter_keeps_the_session(self):
+        trace = self.run(TapFilter.ALL_PACKETS)
+        assert trace.resets == 0
+        assert len(trace.server_observed_sources) == 1
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: a dhcp_rs_only tap refreshes a binding only at attach "
+        "and drops it after 2 keepalive intervals; the controller then evicts "
+        "the record after 2.5 intervals and frees its vpIP, so the next move "
+        "draws a new vpIP and the server resets the connection"))
+    def test_discovery_only_filter_keeps_the_session(self):
+        trace = self.run(TapFilter.DHCP_AND_RS_ONLY)
+        assert trace.resets == 0
 
 
 class TestRandomScenarios:

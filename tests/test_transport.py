@@ -235,13 +235,13 @@ class TestResetRule:
             src_ip=IPv4Address("10.1.0.5"), dst_ip=server.addr, src_mac=UID,
             payload_len=100, seq=0, sent_at=0, kind=PacketKind.DATA, conn_id=0,
         )
-        server.handle(pkt1, now=0)
+        server.handle(pkt1)
         assert net.trace.resets == 0
         pkt2 = Packet(
             src_ip=IPv4Address("10.2.0.9"), dst_ip=server.addr, src_mac=UID,
             payload_len=100, seq=1, sent_at=1, kind=PacketKind.DATA, conn_id=0,
         )
-        server.handle(pkt2, now=1)
+        server.handle(pkt2)
         assert net.trace.resets == 1
         assert net.trace.server_observed_sources == {"10.1.0.5", "10.2.0.9"}
 
@@ -258,6 +258,6 @@ class TestResetRule:
                 src_mac=UID, payload_len=100, seq=seq, sent_at=seq,
                 kind=PacketKind.DATA, conn_id=0,
             )
-            net.server.handle(pkt, now=seq)
+            net.server.handle(pkt)
         assert net.trace.resets == 0
         assert net.trace.server_observed_sources == {"198.51.100.7"}

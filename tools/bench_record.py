@@ -16,8 +16,9 @@ It writes ``BENCH_<pr>.json`` at the root of the checkout with:
   the golden artifacts;
 
 plus ``opcodes``, the bytecodes each bundled scenario executes in each mode,
-in total and per module (``tools/opcount.py``), with the interpreter that
-counted them, since the counts hold for one CPython minor version only;
+in total, per module and for the 20 busiest functions
+(``tools/opcount.py``), with the interpreter that counted them, since the
+counts hold for one CPython minor version only;
 and the measured commit, the tracked files that differ from it, the
 Python version and the machine. The benchmark writes its scenarios to one
 directory per checkout, so run nothing else on the same checkout meanwhile.
