@@ -13,7 +13,7 @@ import bisect
 import random
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Union
 
 from .addressing import AddressError, PoolExhausted, Uid, host_span, int_span, nth_free
 from .flow_engine import EXT_PORT, FlowRule, dnat_rule, snat_rule
@@ -260,16 +260,22 @@ class MobilityController:
 
     # -- liveness ----------------------------------------------------------
 
-    def evict_stale(self, now: int, liveness_window: int) -> List[ControlAction]:
+    def evict_stale(self, now: int, liveness_window: int,
+                    snat_sources: Collection[int]) -> List[ControlAction]:
         """Drop records silent for longer than the liveness window and
         return their virtual addresses to the pool.
+
+        ``snat_sources`` holds the real addresses whose source NAT rule is
+        still installed on the switch. A record whose current real address
+        is among them is kept however long its tap has been silent: the
+        client's own uplink traffic keeps that rule from idling out.
 
         No flow deletion is issued: data-plane entries for a departed client
         idle out on their own.
         """
         stale = [
             uid for uid, rec in self.mst.records.items()
-            if now - rec.last_seen > liveness_window
+            if now - rec.last_seen > liveness_window and rec.real_ip not in snat_sources
         ]
         actions: List[ControlAction] = []
         for uid in stale:

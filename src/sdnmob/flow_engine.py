@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Callable, Deque, Dict, KeysView, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .packet import Packet, PacketKind
 from .units import US_PER_S
@@ -136,6 +137,11 @@ class FlowTable:
     @property
     def default_rule(self) -> Optional[FlowRule]:
         return self._default
+
+    def snat_sources(self) -> KeysView[int]:
+        """The real addresses that have a source NAT rule installed, as a
+        live view (a flow-stats read of the outbound rules)."""
+        return self._snat.keys()
 
     def _slot(self, match: FlowMatch) -> Tuple[Dict[int, FlowRule], int]:
         """The dict that holds the rule with ``match``, and its key in it."""

@@ -9,6 +9,11 @@ entry ``(when, seq, fn, args)`` and the loop calls ``fn(*args)``, so callers
 pass a bound method and its arguments instead of building a closure per
 event. ``seq`` is unique, so two entries never compare ``fn`` or ``args``.
 Every event goes through ``schedule_at``.
+
+The heap is the one record of the work left: a pending lease, control
+message, link arrival, scenario event or timer is an entry in it, so
+``pending()`` tells whether anything but a given set of events is left, and
+``run`` ends when the heap is empty.
 """
 
 from __future__ import annotations

@@ -13,10 +13,9 @@ A link hands each arriving packet to its one receiver, ``deliver(pkt)``; a
 receiver that needs the time reads it from the simulator. A link counts its
 own drops, one integer per reason: ``down_at_send`` and ``down_at_arrival``.
 
-``Link.in_flight`` counts the packets sent and not yet arrived: ``send``
-raises it when it schedules the arrival, and the arrival lowers it whether
-the packet is delivered or dropped there. The arrival is scheduled as
-``schedule_at(arrival, self._arrive, pkt)``, with no closure per hop.
+A packet on the wire is its pending arrival event,
+``schedule_at(arrival, self._arrive, pkt)``, with no closure and no count
+per hop.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class Link:
         self.deliver = deliver
         self.overhead_bytes = overhead_bytes
         self.up = True
-        self.in_flight = 0
         self.down_at_send = 0
         self.down_at_arrival = 0
         self._busy_until = 0
@@ -65,12 +63,10 @@ class Link:
         self._busy_until = start + (
             (pkt.wire_bytes + self.overhead_bytes) * 8 * US_PER_S // self.bandwidth_bps
         )
-        self.in_flight += 1
         sim.schedule_at(self._busy_until + self.delay_us, self._arrive, pkt)
         return True
 
     def _arrive(self, pkt: Packet) -> None:
-        self.in_flight -= 1
         if self.up:
             self.deliver(pkt)
         else:

@@ -1,8 +1,9 @@
 """Scenario execution and the analytic switch-over budgets.
 
 A scenario is a time-ordered event list: start traffic, move the client
-between zones, stop. ``run_scenario`` drives one network to quiescence and
-returns its metrics trace; ``run_pmip_baseline`` is the same loop over a
+between zones, stop. ``run_scenario`` schedules the events, runs the
+simulator until no event is pending (or a runaway horizon passes) and
+returns the metrics trace; ``run_pmip_baseline`` is the same loop over a
 tunnel-mode network.
 
 The budget functions predict the switch-over delay of a handoff from
@@ -155,7 +156,6 @@ def _execute(net: Network, event: ScenarioEvent) -> None:
         side.submit_many(event.payload_len, event.total_bytes // event.payload_len)
     elif isinstance(event, Stop):
         net.echo_active = False
-    net.scenario_events_remaining -= 1
 
 
 def _horizon_us(cfg: TopologyConfig, events: List[ScenarioEvent]) -> int:
@@ -180,7 +180,7 @@ def _handoff_payload(events: List[ScenarioEvent]) -> Optional[int]:
 
 
 def run_scenario(net: Network, events: List[ScenarioEvent]) -> MetricsTrace:
-    """Drive the event list to quiescence and collect the trace.
+    """Run the event list until no event is pending and collect the trace.
 
     The trace is a pure function of (topology config, events): identical
     inputs give bit-identical CSV artifacts.
@@ -189,16 +189,9 @@ def run_scenario(net: Network, events: List[ScenarioEvent]) -> MetricsTrace:
         raise ScenarioError("network already ran a scenario; build a fresh one")
     validate_events(net.cfg, events, net.tunnel if net.mode is Mode.PMIP else None)
     net.ran = True
-    net.scenario_events_remaining = len(events) + 1  # + initial attach
-    home = net.cfg.zones[0].zone_id
-
-    def initial_attach() -> None:
-        net.attach_client(home)
-        net.scenario_events_remaining -= 1
-
-    net.sim.schedule_at(0, initial_attach)
+    net.sim.schedule_at(0, net.attach_client, net.cfg.zones[0].zone_id)
     for event in events:
-        net.sim.schedule_at(event.at_us, lambda e=event: _execute(net, e))
+        net.sim.schedule_at(event.at_us, _execute, net, event)
     net.sim.run(until=_horizon_us(net.cfg, events))
 
     expected = None

@@ -2,7 +2,7 @@
 one mobile client, one external server.
 
 ``Network`` is the routed network both modes share: hosts, zones, links,
-DHCP, metrics and quiescence. Each mode adds its core to it. Each zone's
+DHCP and metrics. Each mode adds its core to it. Each zone's
 state lives in one ``Zone`` in ``Network.zones``. Every transmission ends
 in one fate: ``accepted`` by a host, ``consumed`` at a zone gateway, dropped
 at a host (``host_drops``), or dropped on a link, which counts its own drops
@@ -13,9 +13,12 @@ the fates into its counters.
 
 ``SdnNetwork`` adds the least set of SDN features: per-zone tap servers, the
 controller and a flow-table core that translates the client's zone-local
-address to its stable virtual address. ``TunnelNetwork`` is the tunneling
-baseline: the core is the mobility anchor, the client keeps one home
-address, packets on the distribution-core segment carry encapsulation
+address to its stable virtual address. Its expiry and keepalive ticks are
+the only events that reschedule themselves for good, so they decide when
+an SDN run ends: a tick reschedules only while some event other than the
+live ticks is pending, and otherwise stops. ``TunnelNetwork`` is the
+tunneling baseline: the core is the mobility anchor, the client keeps one
+home address, packets on the distribution-core segment carry encapsulation
 overhead, and a handoff redirects the tunnel only after its binding update
 completes. ``build_topology`` picks the class for a mode.
 """
@@ -313,7 +316,7 @@ class Zone:
 
 class Network:
     """The routed network both modes share: hosts, zones, links,
-    DHCP, metrics and quiescence. A mode subclass supplies the core
+    DHCP and metrics. A mode subclass supplies the core
     (``_core_handle``), the lease draw (``_lease``) and the core's buffer
     counts (``_buffer_counts``). Build one network per run."""
 
@@ -332,10 +335,6 @@ class Network:
         self.host_drops = 0
         self.link_drops = 0  # sent while attached nowhere
 
-        # liveness accounting for quiescence detection (packets in flight
-        # are counted on the links)
-        self.control_outstanding = 0
-        self.scenario_events_remaining = 0
         self.echo_active = False
         self.ran = False  # set by the first run_scenario
         self.echo_conn_ids: set = set()
@@ -378,13 +377,8 @@ class Network:
     # -- control channel and core ------------------------------------------------
 
     def _control_send(self, delay: int, fn: Callable[..., None], *args) -> None:
-        """Run ``fn(*args)`` after ``delay``; the run is not idle meanwhile."""
-        self.control_outstanding += 1
-        self.sim.schedule(delay, self._control_arrive, fn, *args)
-
-    def _control_arrive(self, fn: Callable[..., None], *args) -> None:
-        self.control_outstanding -= 1
-        fn(*args)
+        """Deliver a control message: run ``fn(*args)`` after ``delay``."""
+        self.sim.schedule(delay, fn, *args)
 
     def _core_handle(self, pkt: Packet) -> None:
         raise NotImplementedError
@@ -443,20 +437,6 @@ class Network:
         self.client.conns[conn_id] = side
         return conn_id, side
 
-    # -- quiescence --------------------------------------------------------------------
-
-    def is_idle(self) -> bool:
-        if self.echo_active or self.control_outstanding or self.client.in_dhcp \
-                or any(link.in_flight for link in self.links):
-            return False
-        sides = list(self.client.conns.values()) + [
-            c.side for c in self.server.conns.values()
-        ]
-        return all(s.drained() for s in sides)
-
-    def finished(self) -> bool:
-        return self.scenario_events_remaining == 0 and self.is_idle()
-
     # -- trace -------------------------------------------------------------------------
 
     def _buffer_counts(self) -> Dict[str, int]:
@@ -505,6 +485,8 @@ class SdnNetwork(Network):
             idle_timeout=cfg.idle_timeout_us,
         )
         self.switch = SdnSwitch(self._zone_port)
+        # Ticks still scheduled: each one that stops lowers it.
+        self.live_ticks = 1 + len(self.zones)
         self.sim.schedule_at(EXPIRY_TICK_US, self._expiry_tick)
         for zone in self.zones.values():
             self.sim.schedule_at(cfg.keepalive_interval_us, self._keepalive_tick, zone.tap)
@@ -579,19 +561,29 @@ class SdnNetwork(Network):
 
     # -- ticks -----------------------------------------------------------------------
 
+    def _tick_again(self) -> bool:
+        """Whether the firing tick reschedules. The firing tick is out of the
+        heap and the other live ticks are in it, so some other event is
+        pending exactly when the heap holds at least ``live_ticks``."""
+        if self.sim.pending() >= self.live_ticks:
+            return True
+        self.live_ticks -= 1
+        return False
+
     def _expiry_tick(self) -> None:
         now = self.sim.now
         for rule in self.switch.table.expire(now):
             self.trace.flow_events.append(FlowExpired(now, rule))
         window = int(LIVENESS_WINDOW_FACTOR * self.cfg.keepalive_interval_us)
-        self._dispatch_actions(self.controller.evict_stale(now, window))
-        if not self.finished():
+        self._dispatch_actions(self.controller.evict_stale(
+            now, window, self.switch.table.snat_sources()))
+        if self._tick_again():
             self.sim.schedule(EXPIRY_TICK_US, self._expiry_tick)
 
     def _keepalive_tick(self, tap: TapServer) -> None:
         for report in tap.tick(self.sim.now):
             self._send_report(report)
-        if not self.finished():
+        if self._tick_again():
             self.sim.schedule(self.cfg.keepalive_interval_us, self._keepalive_tick, tap)
 
     def _buffer_counts(self) -> Dict[str, int]:

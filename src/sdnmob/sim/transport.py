@@ -208,9 +208,6 @@ class TransportSide:
         if self.unacked:
             self._arm_timer()
 
-    def drained(self) -> bool:
-        return not self.unacked and not self.pending
-
     # -- receiver ------------------------------------------------------------
 
     def receive_data(self, pkt: Packet) -> None:

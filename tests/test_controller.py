@@ -19,6 +19,7 @@ from sdnmob.controller import (
     WireFormatError,
     allocate_vpip,
 )
+from sdnmob.flow_engine import FlowTable
 from sdnmob.packet import Packet, PacketKind
 
 POOL = IPv4Network("198.51.100.0/24")
@@ -208,7 +209,7 @@ class TestEviction:
     def test_fresh_records_kept(self):
         ctrl = make_controller()
         ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=0)
-        assert ctrl.evict_stale(now=100, liveness_window=1000) == []
+        assert ctrl.evict_stale(now=100, liveness_window=1000, snat_sources=()) == []
 
     def test_silent_record_evicted_and_address_reusable(self):
         pool = IPv4Network("192.0.2.0/30")
@@ -218,7 +219,7 @@ class TestEviction:
         with pytest.raises(PoolExhausted):
             ctrl.handle_host_report(
                 HostReport(Uid.from_int(9), IPv4Address("10.1.0.9")), now=1)
-        actions = ctrl.evict_stale(now=2001, liveness_window=1000)
+        actions = ctrl.evict_stale(now=2001, liveness_window=1000, snat_sources=())
         assert actions == [EvictClient(UID1), EvictClient(UID2)]
         assert len(ctrl.mst) == 0
         # the freed addresses allocate again
@@ -227,7 +228,28 @@ class TestEviction:
 
     def test_empty_table_noop(self):
         ctrl = make_controller()
-        assert ctrl.evict_stale(now=10**9, liveness_window=1) == []
+        assert ctrl.evict_stale(now=10**9, liveness_window=1, snat_sources=()) == []
+
+    def test_live_snat_rule_keeps_a_silent_record_until_it_idles_out(self):
+        ctrl = make_controller()
+        table = FlowTable()
+        [install] = ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=0)
+        table.install(install.snat, now=0)
+        table.install(install.dnat, now=0)
+        # No report for 2 windows, but the client's uplink keeps hitting its
+        # SNAT rule.
+        uplink = Packet(int(IPv4Address("10.1.0.5")), int(IPv4Address("203.0.113.10")),
+                        UID1, 100, 0, 1500, PacketKind.DATA)
+        assert table.match_packet(uplink, now=1500) is not None
+        assert ctrl.evict_stale(now=2001, liveness_window=1000,
+                                snat_sources=table.snat_sources()) == []
+        assert ctrl.mst.lookup(UID1) is not None
+        # Once the SNAT rule idles out, the silent record goes.
+        idle_out = 1500 + install.snat.idle_timeout + 1
+        assert install.snat.match in {r.match for r in table.expire(idle_out)}
+        assert ctrl.evict_stale(now=idle_out, liveness_window=1000,
+                                snat_sources=table.snat_sources()) == [EvictClient(UID1)]
+        assert len(ctrl.mst) == 0
 
 
 class TestLookupAndPacketIn:

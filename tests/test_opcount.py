@@ -1,23 +1,42 @@
 """The opcode counter in ``tools/opcount.py`` is exactly repeatable: two
 counts of one bundled run in one process agree to the opcode, in total, per
 module and per function, so a change of a few opcodes between trees is a
-change in the code, not noise."""
+change in the code, not noise.
+
+``PINNED`` holds the total count of bundled ``handoff_basic`` in each mode,
+so a change that makes a run cost more fails here instead of hiding in
+wall-time noise. The counts hold for one CPython minor version only, so
+that test runs only there. A change that is meant to alter the cost of a
+run re-pins the numbers below, and says why in its change notes.
+"""
 
 import gc
 import importlib.util
+import platform
+import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcount.py"
+
+PINNED_INTERPRETER = ("cpython", (3, 11))
+PINNED = {"sdn": 2_263_421, "pmip": 1_983_680}
+
+
+@pytest.fixture(scope="module")
+def opcount():
+    spec = importlib.util.spec_from_file_location("opcount", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _on_gc(phase, info):
     return phase == "start"
 
 
-def test_two_counts_of_one_run_are_equal():
-    spec = importlib.util.spec_from_file_location("opcount", TOOL)
-    opcount = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(opcount)
+def test_two_counts_of_one_run_are_equal(opcount):
     first = opcount.count("handoff_basic", "sdn")
     assert first["total"] > 1_000_000
     assert first["total"] == sum(first["modules"].values())
@@ -38,3 +57,12 @@ def test_two_counts_of_one_run_are_equal():
         gc.callbacks.remove(_on_gc)
     assert second["functions"] == first["functions"]
     assert second == first
+
+
+@pytest.mark.skipif(
+    (sys.implementation.name, sys.version_info[:2]) != PINNED_INTERPRETER,
+    reason="opcode counts are pinned for CPython 3.11 only; "
+           f"this is {sys.implementation.name} {platform.python_version()}")
+@pytest.mark.parametrize("mode", sorted(PINNED))
+def test_handoff_basic_opcodes_are_pinned(opcount, mode):
+    assert opcount.count("handoff_basic", mode)["total"] == PINNED[mode]

@@ -13,7 +13,7 @@ PINNED = {
     ("handoff_basic", "sdn"): (
         {"accepted": 2400, "buffer_drops": 0, "buffer_residue": 0,
          "consumed": 4, "retransmissions": 0, "transmissions": 2404},
-        16, 9050),
+        16, 9051),
     ("handoff_basic", "pmip"): (
         {"accepted": 2400, "consumed": 4, "retransmissions": 0,
          "transmissions": 2404},
@@ -30,7 +30,7 @@ PINNED = {
     ("ping_pong", "sdn"): (
         {"accepted": 1920, "buffer_drops": 0, "buffer_residue": 0,
          "consumed": 6, "retransmissions": 0, "transmissions": 1926},
-        24, 7252),
+        24, 7253),
     ("ping_pong", "pmip"): (
         {"accepted": 1920, "consumed": 6, "retransmissions": 0,
          "transmissions": 1926},

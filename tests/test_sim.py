@@ -96,50 +96,77 @@ class TestBuildTopology:
             build_topology(two_zone_cfg(), Mode.PMIP, None)
 
 
-class TestIdle:
+class TestEndOfRun:
+    """SDN mode's expiry and keepalive ticks reschedule themselves only
+    while some other event is pending, so a run ends once its last lease,
+    control message, link arrival, traffic tick and timer has run."""
+
+    KEEPALIVE = usec(1.5)  # ticks at 1 s, 1.5 s, 2 s, 3 s, ...
+    WORK_AT = usec(2.5)
+    CUTOFF = usec(60)  # a tick that never stopped would run to here
+
+    def pending_work(self, work):
+        """A two-zone SDN network with ``work`` due at ``WORK_AT``."""
+        kwargs = dict(keepalive_interval_us=self.KEEPALIVE)
+        if work == "lease":
+            kwargs["zones"] = (ZoneConfig("z1", IPv4Network("10.1.0.0/24"), self.WORK_AT),
+                               ZoneConfig("z2", IPv4Network("10.2.0.0/24")))
+            net = build_topology(TopologyConfig(**kwargs))
+            net.attach_client("z1")  # its DISCOVER is consumed at 1.1 ms
+        elif work == "control_message":
+            net = build_topology(two_zone_cfg(**kwargs))
+            net._control_send(self.WORK_AT, lambda: None)
+        else:
+            net = build_topology(two_zone_cfg(link_delay_us=self.WORK_AT, **kwargs))
+            net.ext_in.send(Packet(SERVER_ADDR, IPv4Address("192.0.2.1"), SERVER_UID,
+                                   100, 0, 0, PacketKind.DATA))
+        return net
+
+    @pytest.mark.parametrize("work", ["lease", "control_message", "link_arrival"])
+    def test_ticks_reschedule_while_other_work_is_pending(self, work):
+        net = self.pending_work(work)
+        assert net.live_ticks == 3  # the expiry tick and one keepalive per zone
+        net.sim.run(until=usec(2))
+        # Both kinds of tick have fired and rescheduled: the work and the
+        # three ticks are pending.
+        assert (net.live_ticks, net.sim.pending()) == (3, 4)
+        net.sim.run(until=self.CUTOFF)
+        assert (net.live_ticks, net.sim.pending()) == (0, 0)
+
+    def test_each_tick_stops_at_its_next_firing_once_only_ticks_remain(self):
+        net = self.pending_work("control_message")
+        net.sim.run(until=self.CUTOFF)
+        # The message lands at 2.5 s; the expiry tick and both keepalive
+        # ticks fire next at 3 s, and each stops there.
+        assert net.sim.now == usec(3)
+        assert (net.live_ticks, net.sim.pending()) == (0, 0)
+
+    def test_with_nothing_to_do_each_tick_fires_once(self):
+        net = build_topology(two_zone_cfg(keepalive_interval_us=self.KEEPALIVE))
+        net.sim.run(until=self.CUTOFF)
+        assert net.sim.now == self.KEEPALIVE
+        assert net.sim._seq == 3  # no tick rescheduled
+        assert net.sim.pending() == 0
+
     @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP])
-    def test_not_idle_while_any_link_holds_a_packet(self, mode):
-        net = build_topology(two_zone_cfg(), mode, TunnelConfig())
-        assert net.is_idle()
-        # server -> core -> server: routed back out by the default route
-        # and dropped at the server, which is not its destination
-        net.ext_in.send(Packet(SERVER_ADDR, IPv4Address("192.0.2.1"), SERVER_UID,
-                               100, 0, 0, PacketKind.DATA))
-        assert [link.name for link in net.links if link.in_flight] == ["ext-in"]
-        assert not net.is_idle()
-        second_hop = []
-        send = net.ext_out.send
-
-        def probe(pkt):
-            sent = send(pkt)
-            second_hop.append((net.ext_in.in_flight, net.ext_out.in_flight,
-                               net.is_idle()))
-            return sent
-
-        net.ext_out.send = probe
-        net.sim.run(until=usec(1))
-        assert second_hop == [(0, 1, False)]
-        assert net.is_idle()
-        assert net.host_drops == 1
-
-    @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP])
-    def test_not_idle_while_the_client_acquires_an_address(self, mode):
-        cfg = two_zone_cfg()
+    def test_nothing_pending_after_a_run(self, mode):
+        cfg = two_zone_cfg(keepalive_interval_us=US_PER_S)
         net = build_topology(cfg, mode, TunnelConfig())
-        bud = 0 if mode is Mode.SDN else TunnelConfig().resolved_binding_delay(
-            cfg.control_delay_us)
-        net.attach_client("z1")
-        # The DISCOVER is consumed at the gateway and any binding update is
-        # done: only the pending lease keeps the run busy.
-        net.sim.run(until=bud + usec(0.05))
-        assert net.consumed == 1 and net.client.addr is None
-        assert net.control_outstanding == 0
-        assert not any(link.in_flight for link in net.links)
-        assert not net.is_idle()
-        # Lease at bud + 100 ms; the solicitation lands 1.032 ms later.
-        net.sim.run(until=bud + usec(0.2))
-        assert net.consumed == 2 and net.client.addr is not None
-        assert net.is_idle()
+        trace = run_scenario(net, echo_events())
+        assert trace.losses == 0
+        assert net.sim.pending() == 0
+
+    def test_bundled_runs_leave_only_ticks_due_past_the_horizon(self, bundled_runs):
+        # The bundled keepalive interval (300 s) is longer than any bundled
+        # run's runaway horizon, so each zone's first keepalive tick is
+        # still queued, unfired, when the run returns.
+        for (_, mode), (net, _) in bundled_runs.items():
+            if mode == "pmip":
+                assert net.sim.pending() == 0
+            else:
+                assert net.sim.pending() == net.live_ticks == len(net.zones)
+                assert all(when == net.cfg.keepalive_interval_us > net.sim.now
+                           for when, *_ in net.sim._heap)
 
 
 class TestMoveAndDhcp:
@@ -561,14 +588,13 @@ class TestTapFilterLiveness:
         assert trace.resets == 0
         assert len(trace.server_observed_sources) == 1
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: a dhcp_rs_only tap refreshes a binding only at attach "
-        "and drops it after 2 keepalive intervals; the controller then evicts "
-        "the record after 2.5 intervals and frees its vpIP, so the next move "
-        "draws a new vpIP and the server resets the connection"))
     def test_discovery_only_filter_keeps_the_session(self):
+        # The tap forgets the binding after 2 s and reports nothing more, but
+        # the client's traffic keeps its SNAT rule installed, so the
+        # controller keeps the record and the vpIP.
         trace = self.run(TapFilter.DHCP_AND_RS_ONLY)
         assert trace.resets == 0
+        assert len(trace.server_observed_sources) == 1
 
 
 class TestRandomScenarios:

@@ -138,7 +138,7 @@ class TestTimer:
         sim.run()
         wakeups = sim._seq - acks
         assert side.retransmissions == 0
-        assert len(host.sent) == acks and side.drained()
+        assert len(host.sent) == acks and not side.unacked and not side.pending
         # The RTO stays above 4 ms, so about one wake-up per RTO plus the
         # one left from the initial 1 s timer; the old re-arm scheduled one
         # per ACK.
