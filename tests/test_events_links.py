@@ -123,3 +123,41 @@ class TestLinkTiming:
         assert outcomes == []
         assert (link.down_at_send, link.down_at_arrival) == (0, 1)
 
+
+
+class TestInFlight:
+    """A packet on a link is its one pending arrival event: nothing else
+    counts it, and that event is gone before the packet is delivered."""
+
+    def test_rises_on_send_and_falls_at_arrival(self):
+        sim = Simulator()
+        seen = []
+        link = Link(sim, "l", 10_000_000, 1_000,
+                    deliver=lambda p: seen.append(sim.pending()))
+        assert sim.pending() == 0
+        link.send(pkt(seq=0))
+        link.send(pkt(seq=1))
+        assert sim.pending() == 2
+        sim.run()
+        # each arrival is out of the heap before the packet is delivered
+        assert seen == [1, 0]
+        assert sim.pending() == 0
+
+    def test_falls_when_dropped_at_arrival(self):
+        sim = Simulator()
+        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None)
+        link.send(pkt())
+        sim.schedule_at(100, lambda: link.set_up(False))
+        sim.run(until=100)
+        assert sim.pending() == 1
+        sim.run()
+        assert link.down_at_arrival == 1
+        assert sim.pending() == 0
+
+    def test_drop_at_send_never_counts(self):
+        sim = Simulator()
+        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None)
+        link.set_up(False)
+        assert link.send(pkt()) is False
+        assert link.down_at_send == 1
+        assert sim.pending() == 0

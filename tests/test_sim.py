@@ -96,6 +96,54 @@ class TestBuildTopology:
             build_topology(two_zone_cfg(), Mode.PMIP, None)
 
 
+def other_work(net):
+    """How many pending events are not SDN ticks: the work that keeps a run
+    going. PMIP mode has no self-rescheduling tick."""
+    return net.sim.pending() - getattr(net, "live_ticks", 0)
+
+
+class TestIdle:
+    @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP])
+    def test_not_idle_while_any_link_holds_a_packet(self, mode):
+        net = build_topology(two_zone_cfg(), mode, TunnelConfig())
+        assert other_work(net) == 0
+        # server -> core -> server: routed back out by the default route
+        # and dropped at the server, which is not its destination
+        net.ext_in.send(Packet(SERVER_ADDR, IPv4Address("192.0.2.1"), SERVER_UID,
+                               100, 0, 0, PacketKind.DATA))
+        assert other_work(net) == 1  # the arrival on ext-in
+        second_hop = []
+        send = net.ext_out.send
+
+        def probe(pkt):
+            sent = send(pkt)
+            second_hop.append(other_work(net))
+            return sent
+
+        net.ext_out.send = probe
+        net.sim.run(until=usec(1))
+        assert second_hop == [1]  # ext-in's arrival has run; ext-out's is pending
+        assert other_work(net) == 0
+        assert net.host_drops == 1
+
+    @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP])
+    def test_not_idle_while_the_client_acquires_an_address(self, mode):
+        cfg = two_zone_cfg()
+        net = build_topology(cfg, mode, TunnelConfig())
+        bud = 0 if mode is Mode.SDN else TunnelConfig().resolved_binding_delay(
+            cfg.control_delay_us)
+        net.attach_client("z1")
+        # The DISCOVER is consumed at the gateway and any binding update is
+        # done: only the pending lease keeps the run busy.
+        net.sim.run(until=bud + usec(0.05))
+        assert net.consumed == 1 and net.client.addr is None
+        assert other_work(net) == 1
+        # Lease at bud + 100 ms; the solicitation lands 1.032 ms later.
+        net.sim.run(until=bud + usec(0.2))
+        assert net.consumed == 2 and net.client.addr is not None
+        assert other_work(net) == 0
+
+
 class TestEndOfRun:
     """SDN mode's expiry and keepalive ticks reschedule themselves only
     while some other event is pending, so a run ends once its last lease,
