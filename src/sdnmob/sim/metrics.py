@@ -260,8 +260,6 @@ class ComparisonSummary:
     switchover_pairs: List[Tuple[float, float, float]]  # (a_s, b_s, a-b)
     steady_goodput_bps: Tuple[float, float]
     goodput_ratio_b_over_a: Optional[float]
-    losses: Tuple[int, int]
-    resets: Tuple[int, int]
 
 
 def compare_runs(a: MetricsTrace, b: MetricsTrace) -> ComparisonSummary:
@@ -282,8 +280,6 @@ def compare_runs(a: MetricsTrace, b: MetricsTrace) -> ComparisonSummary:
         switchover_pairs=pairs,
         steady_goodput_bps=(steady_a, steady_b),
         goodput_ratio_b_over_a=ratio,
-        losses=(a.losses, b.losses),
-        resets=(a.resets, b.resets),
     )
 
 

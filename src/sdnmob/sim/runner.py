@@ -4,7 +4,10 @@ A scenario is a time-ordered event list: start traffic, move the client
 between zones, stop. ``run_scenario`` schedules the events, runs the
 simulator until no event is pending (or a runaway horizon passes) and
 returns the metrics trace; ``run_pmip_baseline`` is the same loop over a
-tunnel-mode network.
+tunnel-mode network. Each traffic event opens one connection. An echo
+stream ends itself: it schedules a tick only while that tick falls before
+the first stop at or after its start, so the stop event itself does
+nothing.
 
 The budget functions predict the switch-over delay of a handoff from
 configuration constants alone (no event loop): they are the independent
@@ -130,32 +133,32 @@ def move_client(net: Network, zone_id: str) -> None:
         raise ScenarioError(f"unknown zone: {zone_id!r}")
     if net.client.zone is zone:
         raise ScenarioError(f"client already attached to {zone_id!r}")
-    if net.client.in_dhcp:
+    if net.client.zone is not None and net.client.addr is None:
         raise ScenarioError("mobility event during address acquisition")
     net.trace.handoffs.append(HandoffRecord(detach_us=net.sim.now))
     net.detach_client()
     net.attach_client(zone_id)
 
 
-def _execute(net: Network, event: ScenarioEvent) -> None:
+def _execute(net: Network, event: ScenarioEvent, events: List[ScenarioEvent]) -> None:
     if isinstance(event, MoveClient):
         move_client(net, event.zone_id)
     elif isinstance(event, StartEcho):
         _, side = net.new_client_conn(echo=True)
-        net.echo_active = True
+        sim = net.sim
+        # validate_events guarantees a stop at or after the start.
+        stop_us = next(e.at_us for e in events
+                       if isinstance(e, Stop) and e.at_us >= event.at_us)
 
         def tick() -> None:
-            if not net.echo_active:
-                return
             side.submit(event.payload_len)
-            net.sim.schedule(event.interval_us, tick)
+            if sim.now + event.interval_us < stop_us:
+                sim.schedule(event.interval_us, tick)
 
         tick()
     elif isinstance(event, StartBulkTransfer):
         _, side = net.new_client_conn(echo=False)
         side.submit_many(event.payload_len, event.total_bytes // event.payload_len)
-    elif isinstance(event, Stop):
-        net.echo_active = False
 
 
 def _horizon_us(cfg: TopologyConfig, events: List[ScenarioEvent]) -> int:
@@ -191,7 +194,7 @@ def run_scenario(net: Network, events: List[ScenarioEvent]) -> MetricsTrace:
     net.ran = True
     net.sim.schedule_at(0, net.attach_client, net.cfg.zones[0].zone_id)
     for event in events:
-        net.sim.schedule_at(event.at_us, _execute, net, event)
+        net.sim.schedule_at(event.at_us, _execute, net, event, events)
     net.sim.run(until=_horizon_us(net.cfg, events))
 
     expected = None

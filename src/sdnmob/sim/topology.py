@@ -6,10 +6,11 @@ DHCP and metrics. Each mode adds its core to it. Each zone's
 state lives in one ``Zone`` in ``Network.zones``. Every transmission ends
 in one fate: ``accepted`` by a host, ``consumed`` at a zone gateway, dropped
 at a host (``host_drops``), or dropped on a link, which counts its own drops
-by reason (``Network.link_drops`` holds only sends while detached).
-Everything else the run records goes straight into ``Network.trace``, the
-``MetricsTrace`` the run returns; ``finalize`` adds the losses and folds
-the fates into its counters.
+by reason. Everything else the run records goes straight into
+``Network.trace``, the ``MetricsTrace`` the run returns; ``finalize`` adds
+the losses and folds the fates into its counters. ``new_client_conn`` opens
+both halves of a connection at once, and each half holds its peer: the
+client's is the server, the server's is the source of the data it receives.
 
 ``SdnNetwork`` adds the least set of SDN features: per-zone tap servers, the
 controller and a flow-table core that translates the client's zone-local
@@ -167,7 +168,9 @@ class TunnelConfig:
 
 class ClientHost:
     """The mobile client: one attachment at a time, address leased by the
-    network on each attach."""
+    network on each attach. It acquires an address while it has a zone but
+    no address. It sends only while attached: the transport waits for an
+    address, and DHCP and solicitations go out right after an attach."""
 
     def __init__(self, net: "Network", uid: Uid):
         self.net = net
@@ -176,16 +179,9 @@ class ClientHost:
         self.addr: Optional[int] = None
         self.zone: Optional[Zone] = None
         self.conns: Dict[int, TransportSide] = {}
-        self.in_dhcp = False
-
-    def peer_addr(self, conn_id: int) -> int:
-        return self.net.server.addr
 
     def transmit(self, pkt: Packet) -> None:
         self.net.transmissions += 1
-        if self.zone is None:
-            self.net.link_drops += 1
-            return
         self.zone.access_up.send(pkt)
 
     def handle(self, pkt: Packet) -> None:
@@ -208,14 +204,13 @@ class ClientHost:
 
 
 class ServerConn:
-    def __init__(self, side: TransportSide, established_src: int):
+    def __init__(self, side: TransportSide):
         self.side = side
-        self.established_src = established_src
 
 
 class ServerHost:
     """External correspondent: echoes or sinks client data, and resets a
-    connection whose established source address suddenly changes."""
+    connection whose peer address suddenly changes."""
 
     def __init__(self, net: "Network", uid: Uid, addr: int):
         self.net = net
@@ -224,15 +219,28 @@ class ServerHost:
         self.addr = addr
         self.conns: Dict[int, ServerConn] = {}
 
-    def peer_addr(self, conn_id: int) -> int:
-        return self.conns[conn_id].established_src
+    def listen(self, conn_id: int, echo: bool) -> None:
+        """Open the server half of connection ``conn_id``. Its peer is the
+        source of the first data segment; ``echo`` sends each delivered
+        segment back."""
+        deliveries = self.net.trace.deliveries
+
+        def on_deliver(now: int, payload_len: int) -> None:
+            deliveries.append(now, payload_len * 8)
+            if echo:
+                side.submit(payload_len)
+
+        side = TransportSide(self, conn_id, None, rtt_log=self.net.trace.rtt_server,
+                             on_deliver=on_deliver)
+        self.conns[conn_id] = ServerConn(side)
 
     def transmit(self, pkt: Packet) -> None:
         self.net.transmissions += 1
         self.net.ext_in.send(pkt)
 
     def handle(self, pkt: Packet) -> None:
-        if pkt.dst_ip != self.addr:
+        conn = self.conns.get(pkt.conn_id)
+        if conn is None or pkt.dst_ip != self.addr:
             self.net.host_drops += 1
             return
         self.net.accepted += 1
@@ -244,35 +252,17 @@ class ServerHost:
                 h = trace.handoffs[-1]
                 if h.first_delivery_us is None and pkt.sent_at > h.detach_us:
                     h.first_delivery_us = now
-            conn = self.conns.get(pkt.conn_id)
-            # A data packet's source is new to the server only when it opens
-            # a connection or resets one, so only those record it.
-            if conn is None:
-                conn = self._establish(pkt.conn_id, pkt.src_ip)
+            side = conn.side
+            # A data packet's source is new to the server only when it is
+            # the connection's first or resets it, so only those record it.
+            if side.peer != pkt.src_ip:
+                if side.peer is not None:
+                    trace.resets += 1
+                side.peer = pkt.src_ip
                 trace.server_observed_sources.add(str(IPv4Address(pkt.src_ip)))
-            elif conn.established_src != pkt.src_ip:
-                trace.resets += 1
-                conn.established_src = pkt.src_ip
-                trace.server_observed_sources.add(str(IPv4Address(pkt.src_ip)))
-            conn.side.receive_data(pkt)
+            side.receive_data(pkt)
         elif kind is _ACK:
-            conn = self.conns.get(pkt.conn_id)
-            if conn is not None:
-                conn.side.receive_ack(pkt)
-
-    def _establish(self, conn_id: int, src: int) -> ServerConn:
-        deliveries = self.net.trace.deliveries
-
-        def on_deliver(now: int, payload_len: int) -> None:
-            deliveries.append(now, payload_len * 8)
-            if conn_id in self.net.echo_conn_ids:
-                conn.side.submit(payload_len)
-
-        side = TransportSide(self, conn_id, rtt_log=self.net.trace.rtt_server,
-                             on_deliver=on_deliver)
-        conn = ServerConn(side, src)
-        self.conns[conn_id] = conn
-        return conn
+            conn.side.receive_ack(pkt)
 
 
 class Zone:
@@ -333,12 +323,8 @@ class Network:
         self.accepted = 0
         self.consumed = 0
         self.host_drops = 0
-        self.link_drops = 0  # sent while attached nowhere
 
-        self.echo_active = False
         self.ran = False  # set by the first run_scenario
-        self.echo_conn_ids: set = set()
-        self._next_conn_id = 0
 
         self.server = ServerHost(self, SERVER_UID, SERVER_ADDR)
         self.client = ClientHost(self, CLIENT_UID)
@@ -396,7 +382,6 @@ class Network:
             raise ConfigurationError(f"unknown zone: {zone_id!r}")
         self.client.zone = zone
         zone.set_attached(True)
-        self.client.in_dhcp = True
         self._start_dhcp(zone)
 
     def _start_dhcp(self, zone: Zone) -> None:
@@ -409,7 +394,6 @@ class Network:
         self.sim.schedule(zone.cfg.dhcp_latency, self._complete_dhcp, zone)
 
     def _complete_dhcp(self, zone: Zone) -> None:
-        self.client.in_dhcp = False
         self.client.addr = self._lease(zone)
         solicit = Packet(
             src_ip=self.client.addr, dst_ip=ALL_ROUTERS,
@@ -429,12 +413,14 @@ class Network:
     # -- traffic -------------------------------------------------------------------
 
     def new_client_conn(self, echo: bool) -> Tuple[int, TransportSide]:
-        conn_id = self._next_conn_id
-        self._next_conn_id += 1
-        if echo:
-            self.echo_conn_ids.add(conn_id)
-        side = TransportSide(self.client, conn_id, rtt_log=self.trace.rtt_client)
-        self.client.conns[conn_id] = side
+        """Open a connection from the client to the server, both halves at
+        once; ``echo`` makes the server send each segment back."""
+        client = self.client
+        conn_id = len(client.conns)
+        side = TransportSide(client, conn_id, self.server.addr,
+                             rtt_log=self.trace.rtt_client)
+        client.conns[conn_id] = side
+        self.server.listen(conn_id, echo)
         return conn_id, side
 
     # -- trace -------------------------------------------------------------------------
@@ -447,15 +433,13 @@ class Network:
                  expected_switchover_us: Optional[int]) -> MetricsTrace:
         losses = 0
         for conn_id, client_side in self.client.conns.items():
-            server_conn = self.server.conns.get(conn_id)
-            server_delivered = server_conn.side.delivered_segments if server_conn else 0
-            server_submitted = server_conn.side.submitted if server_conn else 0
-            losses += client_side.submitted - server_delivered
-            losses += server_submitted - client_side.delivered_segments
+            server_side = self.server.conns[conn_id].side
+            losses += client_side.submitted - server_side.delivered_segments
+            losses += server_side.submitted - client_side.delivered_segments
         fates = {"transmissions": self.transmissions, "accepted": self.accepted,
                  "consumed": self.consumed, "host_drops": self.host_drops,
-                 "link_drops": self.link_drops + sum(
-                     link.down_at_send + link.down_at_arrival for link in self.links)}
+                 "link_drops": sum(link.down_at_send + link.down_at_arrival
+                                   for link in self.links)}
         counters = {key: n for key, n in fates.items() if n}
         counters["retransmissions"] = sum(
             s.retransmissions for s in self.client.conns.values()

@@ -3,9 +3,10 @@
 Cumulative acknowledgments, a single retransmission timer per sender set to
 four times the smoothed RTT, in-order delivery with an unbounded reassembly
 buffer, and a fixed send window that paces bulk transfers against the
-bottleneck link. The server side resets a connection when a data packet for
-an established connection arrives from a different source address; that is
-the failure mode the address translation scheme exists to prevent.
+bottleneck link. Each side holds its peer, the one address it sends to. The
+server host resets a connection when a data packet arrives from a source
+other than the server side's peer; that is the failure mode the address
+translation scheme exists to prevent.
 
 Senders pause while their host has no usable address (mid-handoff) and
 retransmit everything outstanding the moment a fresh address lands, which
@@ -56,19 +57,23 @@ class SegMeta:
 class TransportSide:
     """One endpoint (client or server role) of a reliable connection.
 
-    The owning host supplies the clock, its current address, the peer
-    address and the transmit path; the side keeps sender and receiver state.
+    The owning host supplies the clock, its current address and the
+    transmit path. The side keeps ``peer``, the address it sends to, and its
+    sender and receiver state. A server side starts with no peer and takes
+    the source of the first data segment it receives.
     """
 
     def __init__(
         self,
         host,
         conn_id: int,
+        peer: Optional[int],
         rtt_log: Optional[Series] = None,
         on_deliver: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         self.host = host
         self.conn_id = conn_id
+        self.peer = peer
         self.rtt_log = Series() if rtt_log is None else rtt_log
         self.on_deliver = on_deliver
         # sender
@@ -121,7 +126,7 @@ class TransportSide:
     def _transmit_segment(self, seq: int, payload_len: int, retransmit: bool) -> None:
         host = self.host
         now = host.sim.now
-        pkt = Packet(host.addr, host.peer_addr(self.conn_id), host.uid, payload_len,
+        pkt = Packet(host.addr, self.peer, host.uid, payload_len,
                      seq, now, _DATA, self.conn_id)
         if retransmit:
             meta = self.unacked[seq]
@@ -231,7 +236,7 @@ class TransportSide:
         host = self.host
         if host.addr is None:
             return
-        pkt = Packet(host.addr, host.peer_addr(self.conn_id), host.uid, 0,
+        pkt = Packet(host.addr, self.peer, host.uid, 0,
                      self._ack_seq, host.sim.now, _ACK, self.conn_id, self.expected)
         self._ack_seq += 1
         self.transmissions += 1

@@ -21,7 +21,7 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcount.py"
 
 PINNED_INTERPRETER = ("cpython", (3, 11))
-PINNED = {"sdn": 2_263_421, "pmip": 1_983_680}
+PINNED = {"sdn": 2_237_239, "pmip": 1_957_799}
 
 
 @pytest.fixture(scope="module")

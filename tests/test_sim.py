@@ -6,7 +6,7 @@ import itertools
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from sdnmob.addressing import PoolExhausted
 from sdnmob.config import bundled_scenario_path, load_config
@@ -34,6 +34,7 @@ from sdnmob.tap_server import TapFilter, ZoneConfig
 from sdnmob.units import US_PER_S, usec
 
 from campus import campus_network, campus_population, register
+from scripts import echo_scripts
 
 
 def two_zone_cfg(**kwargs):
@@ -204,6 +205,26 @@ class TestEndOfRun:
         assert trace.losses == 0
         assert net.sim.pending() == 0
 
+    @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP])
+    def test_echo_stream_ends_itself_before_its_stop(self, mode):
+        """An echo from 0 every 50 ms until a stop at 3 s sends at 0, 50 ms,
+        ..., 2.95 s: 60 segments. It schedules no tick at the stop instant."""
+        net = build_topology(two_zone_cfg(), mode, TunnelConfig())
+        ticks = []
+        schedule = net.sim.schedule
+
+        def spy(delay, fn, *args):
+            if fn.__name__ == "tick":
+                ticks.append(net.sim.now + delay)
+            schedule(delay, fn, *args)
+
+        net.sim.schedule = spy
+        trace = run_scenario(net, [StartEcho(0, usec(0.05), 100), Stop(usec(3))])
+        assert net.client.conns[0].submitted == 60
+        assert net.server.conns[0].side.submitted == 60  # each one echoed
+        assert ticks == [usec(0.05) * k for k in range(1, 60)]
+        assert trace.losses == 0
+
     def test_bundled_runs_leave_only_ticks_due_past_the_horizon(self, bundled_runs):
         # The bundled keepalive interval (300 s) is longer than any bundled
         # run's runaway horizon, so each zone's first keepalive tick is
@@ -237,6 +258,24 @@ class TestMoveAndDhcp:
         net.sim.run(until=usec(1))
         with pytest.raises(ScenarioError):
             move_client(net, "z1")
+
+    @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP])
+    def test_move_while_acquiring_an_address_rejected(self, mode):
+        """The client acquires an address from its attach until the lease:
+        in SDN mode that is the 100 ms DHCP latency, in PMIP mode the 10 ms
+        binding update first and then the DHCP latency."""
+        net = build_topology(two_zone_cfg(), mode, TunnelConfig())
+        net.attach_client("z1")
+        # At 5 ms the SDN DISCOVER is consumed; the PMIP one is not yet sent.
+        net.sim.run(until=usec(0.005))
+        assert net.consumed == (1 if mode is Mode.SDN else 0)
+        with pytest.raises(ScenarioError, match="during address acquisition"):
+            move_client(net, "z2")
+        assert net.client.zone is net.zones["z1"] and not net.trace.handoffs
+        net.sim.run(until=usec(0.2))  # the lease has landed in both modes
+        assert net.client.addr is not None
+        move_client(net, "z2")
+        assert net.client.zone is net.zones["z2"] and len(net.trace.handoffs) == 1
 
     def test_client_sources_from_new_zone_after_move(self):
         net = build_topology(two_zone_cfg())
@@ -454,7 +493,7 @@ class TestCompareRuns:
             assert delta == 0.0
         sa, sb = summary.steady_goodput_bps
         assert sa == sb
-        assert summary.losses == (0, 0) and summary.resets == (0, 0)
+        assert (a.losses, b.losses) == (0, 0) and (a.resets, b.resets) == (0, 0)
 
     def test_sdn_beats_pmip_on_default_scenario(self, traces):
         summary = compare_runs(traces[("handoff_basic", "sdn")],
@@ -649,29 +688,7 @@ class TestRandomScenarios:
     """Randomized mobility scripts: continuity and budget agreement must
     hold for any valid scenario, not just the bundled ones."""
 
-    @st.composite
-    def scenario(draw):
-        n_zones = draw(st.integers(2, 3))
-        zones = tuple(
-            ZoneConfig(f"z{i}", IPv4Network(f"10.{i + 1}.0.0/24"), usec(0.1))
-            for i in range(n_zones)
-        )
-        cfg = TopologyConfig(zones=zones, seed=draw(st.integers(0, 2**32)))
-        interval = draw(st.sampled_from([0.02, 0.04, 0.05]))
-        payload = draw(st.integers(50, 500))
-        events = [StartEcho(0, usec(interval), payload)]
-        current = zones[0].zone_id
-        at = 1.0
-        for _ in range(draw(st.integers(1, 3))):
-            target = draw(st.sampled_from(
-                [z.zone_id for z in zones if z.zone_id != current]))
-            events.append(MoveClient(usec(at), target))
-            current = target
-            at += draw(st.sampled_from([1.0, 1.5, 2.0]))
-        events.append(Stop(usec(at + 1.0)))
-        return cfg, events, payload
-
-    @given(scenario())
+    @given(echo_scripts())
     @settings(max_examples=20, deadline=None)
     def test_any_valid_script_keeps_the_session(self, case):
         cfg, events, payload = case

@@ -22,9 +22,6 @@ class StubHost:
         self.addr = IPv4Address(addr) if addr else None
         self.sent = []
 
-    def peer_addr(self, conn_id):
-        return PEER
-
     def transmit(self, pkt):
         self.sent.append(pkt)
 
@@ -48,7 +45,7 @@ def data_from_peer(side, seq, payload=100):
 def make_side(addr="10.1.0.5"):
     sim = Simulator()
     host = StubHost(sim, addr)
-    side = TransportSide(host, conn_id=0)
+    side = TransportSide(host, conn_id=0, peer=PEER)
     return sim, host, side
 
 
@@ -58,7 +55,7 @@ class TestSender:
         for _ in range(5):
             side.submit(100)
         assert [p.seq for p in host.sent] == [0, 1, 2, 3, 4]
-        assert all(p.kind is PacketKind.DATA for p in host.sent)
+        assert all(p.kind is PacketKind.DATA and p.dst_ip == int(PEER) for p in host.sent)
 
     def test_window_caps_outstanding_segments(self, monkeypatch):
         monkeypatch.setattr(transport, "SEND_WINDOW_SEGMENTS", 4)
@@ -104,7 +101,7 @@ class TestSender:
         samples = Series()
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0, rtt_log=samples)
+        side = TransportSide(host, 0, PEER, rtt_log=samples)
         side.submit(100)
         sim.run(until=INITIAL_RTO_US + 1)  # forces one retransmission
         side.receive_ack(ack_for(side, 1))
@@ -186,7 +183,7 @@ class TestReceiver:
         delivered = []
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0,
+        side = TransportSide(host, 0, PEER,
                              on_deliver=lambda t, n: delivered.append(n))
         side.receive_data(data_from_peer(side, 0))
         side.receive_data(data_from_peer(side, 1))
@@ -198,7 +195,7 @@ class TestReceiver:
         delivered = []
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0,
+        side = TransportSide(host, 0, PEER,
                              on_deliver=lambda t, n: delivered.append(n))
         side.receive_data(data_from_peer(side, 1))
         assert delivered == []
@@ -209,7 +206,7 @@ class TestReceiver:
     def test_duplicate_counted_and_reacked(self):
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0)
+        side = TransportSide(host, 0, PEER)
         side.receive_data(data_from_peer(side, 0))
         side.receive_data(data_from_peer(side, 0))
         assert side.duplicates == 1
@@ -223,41 +220,46 @@ class TestResetRule:
     a data packet for an established connection from a new source is the
     session-breaking event the address translation scheme prevents."""
 
-    def test_source_change_counts_reset(self):
+    def network(self):
         from sdnmob.sim.topology import TopologyConfig, build_topology
         from sdnmob.tap_server import ZoneConfig
         from ipaddress import IPv4Network
 
         cfg = TopologyConfig(zones=(ZoneConfig("z1", IPv4Network("10.1.0.0/24")),))
-        net = build_topology(cfg)
+        return build_topology(cfg)
+
+    def data(self, net, src, seq, conn_id=0):
+        return Packet(
+            src_ip=int(IPv4Address(src)), dst_ip=net.server.addr, src_mac=UID,
+            payload_len=100, seq=seq, sent_at=seq, kind=PacketKind.DATA,
+            conn_id=conn_id,
+        )
+
+    def test_source_change_counts_reset(self):
+        net = self.network()
+        net.new_client_conn(echo=False)
         server = net.server
-        pkt1 = Packet(
-            src_ip=IPv4Address("10.1.0.5"), dst_ip=server.addr, src_mac=UID,
-            payload_len=100, seq=0, sent_at=0, kind=PacketKind.DATA, conn_id=0,
-        )
-        server.handle(pkt1)
+        server.handle(self.data(net, "10.1.0.5", 0))
         assert net.trace.resets == 0
-        pkt2 = Packet(
-            src_ip=IPv4Address("10.2.0.9"), dst_ip=server.addr, src_mac=UID,
-            payload_len=100, seq=1, sent_at=1, kind=PacketKind.DATA, conn_id=0,
-        )
-        server.handle(pkt2)
+        server.handle(self.data(net, "10.2.0.9", 1))
         assert net.trace.resets == 1
         assert net.trace.server_observed_sources == {"10.1.0.5", "10.2.0.9"}
+        assert server.conns[0].side.peer == int(IPv4Address("10.2.0.9"))
 
     def test_stable_source_never_resets(self):
-        from sdnmob.sim.topology import TopologyConfig, build_topology
-        from sdnmob.tap_server import ZoneConfig
-        from ipaddress import IPv4Network
-
-        cfg = TopologyConfig(zones=(ZoneConfig("z1", IPv4Network("10.1.0.0/24")),))
-        net = build_topology(cfg)
+        net = self.network()
+        net.new_client_conn(echo=False)
         for seq in range(20):
-            pkt = Packet(
-                src_ip=IPv4Address("198.51.100.7"), dst_ip=net.server.addr,
-                src_mac=UID, payload_len=100, seq=seq, sent_at=seq,
-                kind=PacketKind.DATA, conn_id=0,
-            )
-            net.server.handle(pkt)
+            net.server.handle(self.data(net, "198.51.100.7", seq))
         assert net.trace.resets == 0
         assert net.trace.server_observed_sources == {"198.51.100.7"}
+
+    def test_data_for_an_unopened_connection_is_a_host_drop(self):
+        net = self.network()
+        net.new_client_conn(echo=False)  # opens connection 0 only
+        net.server.handle(self.data(net, "10.1.0.5", 0, conn_id=1))
+        assert (net.host_drops, net.accepted) == (1, 0)
+        assert list(net.server.conns) == [0]
+        assert net.server.conns[0].side.peer is None
+        assert net.trace.server_observed_sources == set()
+        assert len(net.trace.deliveries) == 0
