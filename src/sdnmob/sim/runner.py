@@ -6,8 +6,7 @@ simulator until no event is pending (or a runaway horizon passes) and
 returns the metrics trace; ``run_pmip_baseline`` is the same loop over a
 tunnel-mode network. Each traffic event opens one connection. An echo
 stream ends itself: it schedules a tick only while that tick falls before
-the first stop at or after its start, so the stop event itself does
-nothing.
+the first stop at or after its start, so a stop is never scheduled.
 
 The budget functions predict the switch-over delay of a handoff from
 configuration constants alone (no event loop): they are the independent
@@ -194,7 +193,8 @@ def run_scenario(net: Network, events: List[ScenarioEvent]) -> MetricsTrace:
     net.ran = True
     net.sim.schedule_at(0, net.attach_client, net.cfg.zones[0].zone_id)
     for event in events:
-        net.sim.schedule_at(event.at_us, _execute, net, event, events)
+        if event.__class__ is not Stop:
+            net.sim.schedule_at(event.at_us, _execute, net, event, events)
     net.sim.run(until=_horizon_us(net.cfg, events))
 
     expected = None

@@ -14,10 +14,11 @@ client's is the server, the server's is the source of the data it receives.
 
 ``SdnNetwork`` adds the least set of SDN features: per-zone tap servers, the
 controller and a flow-table core that translates the client's zone-local
-address to its stable virtual address. Its expiry and keepalive ticks are
-the only events that reschedule themselves for good, so they decide when
-an SDN run ends: a tick reschedules only while some event other than the
-live ticks is pending, and otherwise stops. ``TunnelNetwork`` is the
+address to its stable virtual address. One control-plane timer runs both
+of its periodic passes, the taps' keepalive and the flow expiry. It is the
+only event that reschedules itself for good, so it decides when an SDN run
+ends: it reschedules exactly while some other event is pending, and
+otherwise stops. ``TunnelNetwork`` is the
 tunneling baseline: the core is the mobility anchor, the client keeps one
 home address, packets on the distribution-core segment carry encapsulation
 overhead, and a handoff redirects the tunnel only after its binding update
@@ -114,8 +115,8 @@ class TopologyConfig:
                 raise ConfigurationError("delays must be non-negative", name)
         if self.idle_timeout_us < 0:
             raise ConfigurationError("idle timeout must be non-negative", "idle_timeout_us")
-        # A keepalive tick reschedules itself one interval later: at 0 the
-        # clock would never advance.
+        # The control-plane timer's next keepalive is one interval later: at
+        # 0 the clock would never advance.
         if self.keepalive_interval_us <= 0:
             raise ConfigurationError("keepalive interval must be positive",
                                      "keepalive_interval_us")
@@ -469,11 +470,10 @@ class SdnNetwork(Network):
             idle_timeout=cfg.idle_timeout_us,
         )
         self.switch = SdnSwitch(self._zone_port)
-        # Ticks still scheduled: each one that stops lowers it.
-        self.live_ticks = 1 + len(self.zones)
-        self.sim.schedule_at(EXPIRY_TICK_US, self._expiry_tick)
-        for zone in self.zones.values():
-            self.sim.schedule_at(cfg.keepalive_interval_us, self._keepalive_tick, zone.tap)
+        self._next_keepalive = cfg.keepalive_interval_us
+        self._liveness_window = int(LIVENESS_WINDOW_FACTOR * cfg.keepalive_interval_us)
+        self.sim.schedule_at(min(EXPIRY_TICK_US, cfg.keepalive_interval_us),
+                             self._control_tick)
 
     def _uplink(self, zone: Zone) -> Deliver:
         # Each zone gets its tap here, before the link that feeds it. The tap
@@ -543,32 +543,30 @@ class SdnNetwork(Network):
         actions = self.controller.handle_packet_in(pkt, self.sim.now)
         self._dispatch_actions(actions)
 
-    # -- ticks -----------------------------------------------------------------------
+    # -- control-plane timer -------------------------------------------------------
 
-    def _tick_again(self) -> bool:
-        """Whether the firing tick reschedules. The firing tick is out of the
-        heap and the other live ticks are in it, so some other event is
-        pending exactly when the heap holds at least ``live_ticks``."""
-        if self.sim.pending() >= self.live_ticks:
-            return True
-        self.live_ticks -= 1
-        return False
-
-    def _expiry_tick(self) -> None:
-        now = self.sim.now
-        for rule in self.switch.table.expire(now):
-            self.trace.flow_events.append(FlowExpired(now, rule))
-        window = int(LIVENESS_WINDOW_FACTOR * self.cfg.keepalive_interval_us)
-        self._dispatch_actions(self.controller.evict_stale(
-            now, window, self.switch.table.snat_sources()))
-        if self._tick_again():
-            self.sim.schedule(EXPIRY_TICK_US, self._expiry_tick)
-
-    def _keepalive_tick(self, tap: TapServer) -> None:
-        for report in tap.tick(self.sim.now):
-            self._send_report(report)
-        if self._tick_again():
-            self.sim.schedule(self.cfg.keepalive_interval_us, self._keepalive_tick, tap)
+    def _control_tick(self) -> None:
+        """Fire at each keepalive boundary and each whole second. A boundary
+        runs every zone's keepalive pass, in zone order; a whole second runs
+        the expiry pass; a shared instant runs both, keepalive first. The
+        firing timer is out of the heap, so it reschedules exactly while
+        some other event is pending."""
+        sim = self.sim
+        now = sim.now
+        if now == self._next_keepalive:
+            for zone in self.zones.values():
+                for report in zone.tap.tick(now):
+                    self._send_report(report)
+            self._next_keepalive = now + self.cfg.keepalive_interval_us
+        into_second = now % EXPIRY_TICK_US
+        if not into_second:
+            for rule in self.switch.table.expire(now):
+                self.trace.flow_events.append(FlowExpired(now, rule))
+            self._dispatch_actions(self.controller.evict_stale(
+                now, self._liveness_window, self.switch.table.snat_sources()))
+        if sim.pending():
+            sim.schedule_at(min(now - into_second + EXPIRY_TICK_US, self._next_keepalive),
+                            self._control_tick)
 
     def _buffer_counts(self) -> Dict[str, int]:
         return {"buffer_residue": len(self.switch.pending),

@@ -3,8 +3,9 @@
 A tap server sees a copy of every packet its zone's clients send up
 across the access/distribution boundary. It validates source addresses
 against the zone's DHCP range (spoof guard), learns (uid, real IP) bindings
-into a time buffer, and periodically re-reports live clients to the
-controller so their state and flows stay fresh. Observation is
+into a time buffer, and re-reports live clients to the controller so their
+state and flows stay fresh. The tap keeps no clock of its own: its owner
+runs the keepalive pass (``tick``) once per update interval. Observation is
 side-effect-free on the data plane.
 
 Only the uplink is tapped: a packet going down to a client comes from
@@ -80,7 +81,6 @@ class TapServer:
         self.update_interval = update_interval
         # real IP -> entry
         self.buffer: Dict[int, TimeBufferEntry] = {}
-        self.last_emit: int = 0
         self.rejected_spoofed = 0
         self.ignored_unaddressed = 0
 
@@ -115,11 +115,8 @@ class TapServer:
         return HostReport(pkt.src_mac, IPv4Address(src))
 
     def tick(self, now: int) -> List[HostReport]:
-        """Keepalive pass: at each interval boundary, re-report every live
-        binding and drop the ones that went quiet."""
-        if now - self.last_emit < self.update_interval:
-            return []
-        self.last_emit = now
+        """Keepalive pass: drop the bindings that went quiet, then re-report
+        every live one. The caller runs it once per update interval."""
         horizon_ms = (STALENESS_FACTOR * self.update_interval) // US_PER_MS
         now_ms = now // US_PER_MS
         stale = [ip for ip, e in self.buffer.items()

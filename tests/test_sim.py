@@ -10,6 +10,8 @@ from hypothesis import given, settings
 
 from sdnmob.addressing import PoolExhausted
 from sdnmob.config import bundled_scenario_path, load_config
+from sdnmob.controller import HostReport
+from sdnmob.flow_engine import FlowTable
 from sdnmob.packet import Packet, PacketKind
 from sdnmob.sim import (
     Mode,
@@ -29,8 +31,8 @@ from sdnmob.sim import (
 from sdnmob.sim.metrics import ComparisonError, FlowExpired, FlowInstalled
 from sdnmob.sim.runner import move_client, validate_events
 from sdnmob.sim.runner import StartBulkTransfer
-from sdnmob.sim.topology import SERVER_ADDR, SERVER_UID, ConfigurationError
-from sdnmob.tap_server import TapFilter, ZoneConfig
+from sdnmob.sim.topology import SERVER_ADDR, SERVER_UID, ConfigurationError, SdnNetwork
+from sdnmob.tap_server import TapFilter, TapServer, ZoneConfig
 from sdnmob.units import US_PER_S, usec
 
 from campus import campus_network, campus_population, register
@@ -97,10 +99,17 @@ class TestBuildTopology:
             build_topology(two_zone_cfg(), Mode.PMIP, None)
 
 
+def timer_entries(net):
+    """How many heap entries are the SDN control-plane timer's. PMIP mode
+    has no timer."""
+    timer = getattr(net, "_control_tick", None)
+    return sum(1 for _, _, fn, _ in net.sim._heap if fn == timer)
+
+
 def other_work(net):
-    """How many pending events are not SDN ticks: the work that keeps a run
-    going. PMIP mode has no self-rescheduling tick."""
-    return net.sim.pending() - getattr(net, "live_ticks", 0)
+    """How many pending events are not the SDN control-plane timer: the work
+    that keeps a run going."""
+    return net.sim.pending() - timer_entries(net)
 
 
 class TestIdle:
@@ -145,56 +154,109 @@ class TestIdle:
         assert other_work(net) == 0
 
 
+@pytest.fixture
+def passes(monkeypatch):
+    """Log each firing of the SDN control-plane timer with the passes it
+    runs: ``[(now, ["tap:z1", "tap:z2", "expire"]), ...]``. Networks must be
+    built after the fixture, so that their first firing is logged too."""
+    log = []
+    fire, tick, expire = SdnNetwork._control_tick, TapServer.tick, FlowTable.expire
+
+    def logged_fire(net):
+        log.append((net.sim.now, []))
+        fire(net)
+
+    def logged_tick(tap, now):
+        log[-1][1].append(f"tap:{tap.zone.zone_id}")
+        return tick(tap, now)
+
+    def logged_expire(table, now):
+        log[-1][1].append("expire")
+        return expire(table, now)
+
+    monkeypatch.setattr(SdnNetwork, "_control_tick", logged_fire)
+    monkeypatch.setattr(TapServer, "tick", logged_tick)
+    monkeypatch.setattr(FlowTable, "expire", logged_expire)
+    return log
+
+
+KEEPALIVE_PASS = ["tap:z1", "tap:z2"]
+EXPIRY_PASS = ["expire"]
+
+
 class TestEndOfRun:
-    """SDN mode's expiry and keepalive ticks reschedule themselves only
-    while some other event is pending, so a run ends once its last lease,
-    control message, link arrival, traffic tick and timer has run."""
+    """SDN mode's one control-plane timer reschedules itself only while some
+    other event is pending, so a run ends once its last lease, control
+    message, link arrival, traffic tick and timer has run."""
 
-    KEEPALIVE = usec(1.5)  # ticks at 1 s, 1.5 s, 2 s, 3 s, ...
+    KEEPALIVE = usec(1.5)  # firings at 1 s, 1.5 s, 2 s, 3 s, ...
     WORK_AT = usec(2.5)
-    CUTOFF = usec(60)  # a tick that never stopped would run to here
+    CUTOFF = usec(60)  # a timer that never stopped would run to here
 
-    def pending_work(self, work):
-        """A two-zone SDN network with ``work`` due at ``WORK_AT``."""
-        kwargs = dict(keepalive_interval_us=self.KEEPALIVE)
+    def pending_work(self, work, work_at=WORK_AT, keepalive=KEEPALIVE):
+        """A two-zone SDN network with ``work`` due at ``work_at``."""
+        kwargs = dict(keepalive_interval_us=keepalive)
         if work == "lease":
-            kwargs["zones"] = (ZoneConfig("z1", IPv4Network("10.1.0.0/24"), self.WORK_AT),
+            kwargs["zones"] = (ZoneConfig("z1", IPv4Network("10.1.0.0/24"), work_at),
                                ZoneConfig("z2", IPv4Network("10.2.0.0/24")))
             net = build_topology(TopologyConfig(**kwargs))
             net.attach_client("z1")  # its DISCOVER is consumed at 1.1 ms
         elif work == "control_message":
             net = build_topology(two_zone_cfg(**kwargs))
-            net._control_send(self.WORK_AT, lambda: None)
+            net._control_send(work_at, lambda: None)
         else:
-            net = build_topology(two_zone_cfg(link_delay_us=self.WORK_AT, **kwargs))
+            net = build_topology(two_zone_cfg(link_delay_us=work_at, **kwargs))
             net.ext_in.send(Packet(SERVER_ADDR, IPv4Address("192.0.2.1"), SERVER_UID,
                                    100, 0, 0, PacketKind.DATA))
         return net
 
     @pytest.mark.parametrize("work", ["lease", "control_message", "link_arrival"])
-    def test_ticks_reschedule_while_other_work_is_pending(self, work):
+    def test_ticks_reschedule_while_other_work_is_pending(self, work, passes):
         net = self.pending_work(work)
-        assert net.live_ticks == 3  # the expiry tick and one keepalive per zone
+        assert timer_entries(net) == 1
         net.sim.run(until=usec(2))
-        # Both kinds of tick have fired and rescheduled: the work and the
-        # three ticks are pending.
-        assert (net.live_ticks, net.sim.pending()) == (3, 4)
+        # The timer has fired at 1 s, 1.5 s and 2 s and rescheduled each
+        # time: the work and the timer are pending.
+        assert [now for now, _ in passes] == [usec(1), usec(1.5), usec(2)]
+        assert (timer_entries(net), net.sim.pending()) == (1, 2)
         net.sim.run(until=self.CUTOFF)
-        assert (net.live_ticks, net.sim.pending()) == (0, 0)
+        assert (timer_entries(net), net.sim.pending()) == (0, 0)
 
-    def test_each_tick_stops_at_its_next_firing_once_only_ticks_remain(self):
+    def test_each_tick_stops_at_its_next_firing_once_only_ticks_remain(self, passes):
         net = self.pending_work("control_message")
         net.sim.run(until=self.CUTOFF)
-        # The message lands at 2.5 s; the expiry tick and both keepalive
-        # ticks fire next at 3 s, and each stops there.
+        # The message lands at 2.5 s; the timer fires next at 3 s and stops
+        # there.
         assert net.sim.now == usec(3)
-        assert (net.live_ticks, net.sim.pending()) == (0, 0)
+        assert [now for now, _ in passes] == [usec(1), usec(1.5), usec(2), usec(3)]
+        assert net.sim.pending() == 0
 
-    def test_with_nothing_to_do_each_tick_fires_once(self):
+    def test_with_nothing_to_do_each_tick_fires_once(self, passes):
         net = build_topology(two_zone_cfg(keepalive_interval_us=self.KEEPALIVE))
         net.sim.run(until=self.CUTOFF)
-        assert net.sim.now == self.KEEPALIVE
-        assert net.sim._seq == 3  # no tick rescheduled
+        assert net.sim.now == usec(1)
+        assert passes == [(usec(1), EXPIRY_PASS)]
+        assert net.sim._seq == 1  # the timer scheduled at set-up, never again
+        assert net.sim.pending() == 0
+
+    @pytest.mark.parametrize("keepalive, work_at, firings", [
+        # 1.5 s: keepalive at 1.5, 3 and 4.5 s, expiry at 1, 2, 3 and 4 s.
+        (1.5, 4.2, [(1, EXPIRY_PASS), (1.5, KEEPALIVE_PASS), (2, EXPIRY_PASS),
+                    (3, KEEPALIVE_PASS + EXPIRY_PASS), (4, EXPIRY_PASS),
+                    (4.5, KEEPALIVE_PASS)]),
+        # 0.4 s: keepalive every 0.4 s, between the whole seconds.
+        (0.4, 2.1, [(0.4, KEEPALIVE_PASS), (0.8, KEEPALIVE_PASS), (1, EXPIRY_PASS),
+                    (1.2, KEEPALIVE_PASS), (1.6, KEEPALIVE_PASS),
+                    (2, KEEPALIVE_PASS + EXPIRY_PASS), (2.4, KEEPALIVE_PASS)]),
+    ])
+    def test_one_timer_fires_at_the_union_of_both_schedules(self, keepalive, work_at,
+                                                            firings, passes):
+        """One firing per instant of either schedule, running the keepalive
+        pass over the zones in order and then the expiry pass; the firing
+        after the work's instant is the last."""
+        net = self.pending_work("control_message", usec(work_at), usec(keepalive))
+        net.sim.run(until=self.CUTOFF)
+        assert passes == [(usec(at), ran) for at, ran in firings]
         assert net.sim.pending() == 0
 
     @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP])
@@ -225,17 +287,12 @@ class TestEndOfRun:
         assert ticks == [usec(0.05) * k for k in range(1, 60)]
         assert trace.losses == 0
 
-    def test_bundled_runs_leave_only_ticks_due_past_the_horizon(self, bundled_runs):
-        # The bundled keepalive interval (300 s) is longer than any bundled
-        # run's runaway horizon, so each zone's first keepalive tick is
-        # still queued, unfired, when the run returns.
-        for (_, mode), (net, _) in bundled_runs.items():
-            if mode == "pmip":
-                assert net.sim.pending() == 0
-            else:
-                assert net.sim.pending() == net.live_ticks == len(net.zones)
-                assert all(when == net.cfg.keepalive_interval_us > net.sim.now
-                           for when, *_ in net.sim._heap)
+    def test_bundled_runs_leave_nothing_pending(self, bundled_runs):
+        for key, (net, _) in bundled_runs.items():
+            assert net.sim.pending() == 0, key
+            # Every bundled run ends before the first keepalive boundary
+            # (300 s), so no keepalive pass ever carries one on.
+            assert net.sim.now < net.cfg.keepalive_interval_us, key
 
 
 class TestMoveAndDhcp:
@@ -682,6 +739,49 @@ class TestTapFilterLiveness:
         trace = self.run(TapFilter.DHCP_AND_RS_ONLY)
         assert trace.resets == 0
         assert len(trace.server_observed_sources) == 1
+
+
+class TestStaleKeepaliveReReport:
+    """The client leaves z1 for z2 at 5 s and is back in z1 from 7.5 s. At
+    the 10 s keepalive pass both taps still hold a binding of it, younger
+    than their two-interval staleness horizon. z2's re-report comes last, so
+    the controller takes it as the newest truth and points the DNAT back at
+    z2, where the client no longer is, until that binding ages out at 30 s."""
+
+    CFG = two_zone_cfg(keepalive_interval_us=usec(10))
+    EVENTS = [StartEcho(0, usec(0.05), 100), MoveClient(usec(5), "z2"),
+              MoveClient(usec(7.5), "z1"), Stop(usec(15))]
+
+    @pytest.mark.parametrize("mode", [
+        pytest.param(Mode.SDN, marks=pytest.mark.xfail(strict=True, reason=(
+            "stale keepalive re-report: z2's tap re-reports the departed "
+            "binding after z1's, and the controller moves the client back to "
+            "z2 (ROADMAP item 13, step 2, deletes the re-reports)"))),
+        Mode.PMIP,
+    ])
+    def test_return_to_the_old_zone_drops_nothing(self, mode):
+        net = build_topology(self.CFG, mode, TunnelConfig())
+        trace = run_scenario(net, self.EVENTS)
+        assert trace.losses == 0
+        assert trace.counters.get("link_drops", 0) == 0
+        assert trace.counters["retransmissions"] == 0
+
+    def test_one_pass_reports_in_zone_order(self):
+        net = build_topology(self.CFG)
+        delivered = []
+        deliver = net._deliver_report
+
+        def spy(wire):
+            delivered.append((net.sim.now, HostReport.parse(wire).real_ip))
+            deliver(wire)
+
+        net._deliver_report = spy
+        trace = run_scenario(net, self.EVENTS)
+        at_pass = [[z.zone_id for z in self.CFG.zones if ip in z.dhcp_range][0]
+                   for now, ip in delivered if now == usec(10) + self.CFG.control_delay_us]
+        # z1 re-reports both of its leases, z2 its one, in cfg.zones order.
+        assert at_pass == ["z1", "z1", "z2"]
+        assert trace.losses == 0
 
 
 class TestRandomScenarios:

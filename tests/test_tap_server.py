@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sdnmob.addressing import Uid
 from sdnmob.controller import HostReport
 from sdnmob.packet import Packet, PacketKind
+from sdnmob.sim import TopologyConfig, build_topology
 from sdnmob.tap_server import TapFilter, TapServer, ZoneConfig
 from sdnmob.units import usec
 
@@ -87,10 +88,37 @@ class TestObserve:
 
 
 class TestTick:
-    def test_before_boundary_nothing(self):
-        tap = TapServer(ZONE, update_interval=usec(300))
-        tap.observe_packet(tapped("10.1.0.5"), now=0)
-        assert tap.tick(now=usec(299)) == []
+    def test_before_boundary_nothing(self, monkeypatch):
+        """The network runs the keepalive pass at each interval boundary:
+        before the first one no tap is ticked and no keepalive report is
+        sent, though the tap holds a live binding."""
+        ticks = []
+        tick = TapServer.tick
+
+        def logged_tick(tap, now):
+            ticks.append(now)
+            return tick(tap, now)
+
+        monkeypatch.setattr(TapServer, "tick", logged_tick)
+        net = build_topology(TopologyConfig(zones=(ZONE,), keepalive_interval_us=usec(300)))
+        sent = []
+        send = net._send_report
+
+        def logged_send(report):
+            sent.append(report)
+            send(report)
+
+        net._send_report = logged_send
+        net.attach_client("z1")
+        net._control_send(usec(299.5), lambda: None)  # keeps the run going
+        net.sim.run(until=usec(300) - 1)
+        assert ticks == []
+        # Only the solicitation's discovery report.
+        assert sent == [HostReport(net.client.uid, IPv4Address(net.client.addr))]
+        assert net.zones["z1"].tap.buffer
+        net.sim.run(until=usec(300))
+        assert ticks == [usec(300)]
+        assert sent == [HostReport(net.client.uid, IPv4Address(net.client.addr))] * 2
 
     def test_boundary_reports_each_live_client(self):
         tap = TapServer(ZONE, update_interval=usec(300))
