@@ -144,8 +144,6 @@ FlowEvent = Union[FlowInstalled, FlowExpired, ClientEvicted]
 
 @dataclass
 class MetricsTrace:
-    mode: str
-    seed: int
     events_fingerprint: Tuple[str, ...] = ()
     rtt_client: Series = field(default_factory=Series)  # (sent_at_us, rtt_us)
     rtt_server: Series = field(default_factory=Series)

@@ -1,7 +1,8 @@
 """Scenario execution and the analytic switch-over budgets.
 
 A scenario is a time-ordered event list: start traffic, move the client
-between zones, stop. ``run_scenario`` schedules the events, runs the
+between zones, stop. ``run_scenario`` schedules the client's first attach
+and the events, hands each move to ``Network.move_client``, runs the
 simulator until no event is pending (or a runaway horizon passes) and
 returns the metrics trace; ``run_pmip_baseline`` is the same loop over a
 tunnel-mode network. Each traffic event opens one connection. An echo
@@ -21,24 +22,12 @@ from typing import List, Optional, Tuple, Union
 from ..packet import INNER_HEADER_BYTES
 from ..units import US_PER_S
 from .links import serialization_us
-from .metrics import HandoffRecord, MetricsTrace
-from .topology import Mode, Network, TopologyConfig, TunnelConfig
+from .metrics import MetricsTrace
+from .topology import Mode, Network, ScenarioError, TopologyConfig, TunnelConfig
 
 # Runs are cut off this long after the last scripted event if transports
 # cannot drain; leftovers then show up as losses instead of a hang.
 RUNAWAY_GRACE_US = 120 * US_PER_S
-
-
-class ScenarioError(ValueError):
-    """An invalid event list or mobility request.
-
-    ``index`` is the position of the offending event when ``validate_events``
-    raised it, so a parser can map the failure to that event's source line.
-    """
-
-    def __init__(self, message: str, index: Optional[int] = None):
-        super().__init__(message)
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -121,27 +110,9 @@ def validate_events(cfg: TopologyConfig, events: List[ScenarioEvent],
                 raise ScenarioError(f"bad bulk parameters: {e}", i)
 
 
-def move_client(net: Network, zone_id: str) -> None:
-    """Detach the client and reattach it to another zone.
-
-    The link goes down, in-flight packets toward the old attachment drop at
-    their arrival instants, and address acquisition starts on the new link.
-    """
-    zone = net.zones.get(zone_id)
-    if zone is None:
-        raise ScenarioError(f"unknown zone: {zone_id!r}")
-    if net.client.zone is zone:
-        raise ScenarioError(f"client already attached to {zone_id!r}")
-    if net.client.zone is not None and net.client.addr is None:
-        raise ScenarioError("mobility event during address acquisition")
-    net.trace.handoffs.append(HandoffRecord(detach_us=net.sim.now))
-    net.detach_client()
-    net.attach_client(zone_id)
-
-
 def _execute(net: Network, event: ScenarioEvent, events: List[ScenarioEvent]) -> None:
     if isinstance(event, MoveClient):
-        move_client(net, event.zone_id)
+        net.move_client(event.zone_id)
     elif isinstance(event, StartEcho):
         _, side = net.new_client_conn(echo=True)
         sim = net.sim
@@ -191,7 +162,7 @@ def run_scenario(net: Network, events: List[ScenarioEvent]) -> MetricsTrace:
         raise ScenarioError("network already ran a scenario; build a fresh one")
     validate_events(net.cfg, events, net.tunnel if net.mode is Mode.PMIP else None)
     net.ran = True
-    net.sim.schedule_at(0, net.attach_client, net.cfg.zones[0].zone_id)
+    net.sim.schedule_at(0, net.move_client, net.cfg.zones[0].zone_id)
     for event in events:
         if event.__class__ is not Stop:
             net.sim.schedule_at(event.at_us, _execute, net, event, events)

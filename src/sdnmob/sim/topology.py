@@ -3,7 +3,8 @@ one mobile client, one external server.
 
 ``Network`` is the routed network both modes share: hosts, zones, links,
 DHCP and metrics. Each mode adds its core to it. Each zone's
-state lives in one ``Zone`` in ``Network.zones``. Every transmission ends
+state lives in one ``Zone`` in ``Network.zones``, and ``move_client`` makes
+the client's first attach and every handoff. Every transmission ends
 in one fate: ``accepted`` by a host, ``consumed`` at a zone gateway, dropped
 at a host (``host_drops``), or dropped on a link, which counts its own drops
 by reason. Everything else the run records goes straight into
@@ -22,7 +23,8 @@ otherwise stops. ``TunnelNetwork`` is the
 tunneling baseline: the core is the mobility anchor, the client keeps one
 home address, packets on the distribution-core segment carry encapsulation
 overhead, and a handoff redirects the tunnel only after its binding update
-completes. ``build_topology`` picks the class for a mode.
+completes; the one event that completes it also starts DHCP.
+``build_topology`` picks the class for a mode.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from ..tap_server import (
 from ..units import US_PER_S
 from .events import Simulator
 from .links import Link
-from .metrics import ClientEvicted, FlowExpired, FlowInstalled, MetricsTrace
+from .metrics import ClientEvicted, FlowExpired, FlowInstalled, HandoffRecord, MetricsTrace
 from .transport import TransportSide
 
 EXPIRY_TICK_US = 1 * US_PER_S
@@ -84,6 +86,18 @@ class ConfigurationError(ValueError):
         super().__init__(message)
         self.field = field
         self.zone = zone
+
+
+class ScenarioError(ValueError):
+    """An invalid event list or mobility request.
+
+    ``index`` is the position of the offending event when ``validate_events``
+    raised it, so a parser can map the failure to that event's source line.
+    """
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        super().__init__(message)
+        self.index = index
 
 
 class Mode(enum.Enum):
@@ -308,8 +322,8 @@ class Zone:
 class Network:
     """The routed network both modes share: hosts, zones, links,
     DHCP and metrics. A mode subclass supplies the core
-    (``_core_handle``), the lease draw (``_lease``) and the core's buffer
-    counts (``_buffer_counts``). Build one network per run."""
+    (``_core_handle``) and the lease draw (``_lease``). Build one network
+    per run."""
 
     mode: Mode
 
@@ -318,7 +332,7 @@ class Network:
         self.sim = Simulator()
         self.rng = random.Random(cfg.seed)
 
-        self.trace = MetricsTrace(self.mode.value, cfg.seed)
+        self.trace = MetricsTrace()
         # Packet fates, folded into the trace's counters by finalize.
         self.transmissions = 0
         self.accepted = 0
@@ -377,11 +391,25 @@ class Network:
         fresh draw from its pool (seed-deterministic)."""
         return zone.pool.allocate(self.rng)
 
-    def attach_client(self, zone_id: str) -> None:
+    def move_client(self, zone_id: str) -> None:
+        """Attach the client to ``zone_id`` and start address acquisition.
+        A move from another zone is a handoff: refused while the client
+        acquires an address, else recorded, and the old zone's links go
+        down, so packets in flight toward it drop when they arrive."""
         zone = self.zones.get(zone_id)
         if zone is None:
-            raise ConfigurationError(f"unknown zone: {zone_id!r}")
-        self.client.zone = zone
+            raise ScenarioError(f"unknown zone: {zone_id!r}")
+        client = self.client
+        old = client.zone
+        if old is zone:
+            raise ScenarioError(f"client already attached to {zone_id!r}")
+        if old is not None:
+            if client.addr is None:
+                raise ScenarioError("mobility event during address acquisition")
+            self.trace.handoffs.append(HandoffRecord(detach_us=self.sim.now))
+            old.set_attached(False)
+            client.addr = None
+        client.zone = zone
         zone.set_attached(True)
         self._start_dhcp(zone)
 
@@ -405,12 +433,6 @@ class Network:
         for side in self.client.conns.values():
             side.flush_all()
 
-    def detach_client(self) -> None:
-        if self.client.zone is not None:
-            self.client.zone.set_attached(False)
-        self.client.addr = None
-        self.client.zone = None
-
     # -- traffic -------------------------------------------------------------------
 
     def new_client_conn(self, echo: bool) -> Tuple[int, TransportSide]:
@@ -425,10 +447,6 @@ class Network:
         return conn_id, side
 
     # -- trace -------------------------------------------------------------------------
-
-    def _buffer_counts(self) -> Dict[str, int]:
-        """Counters for the packets the core holds back, added at the end."""
-        return {}
 
     def finalize(self, events_fingerprint: Tuple[str, ...],
                  expected_switchover_us: Optional[int]) -> MetricsTrace:
@@ -445,7 +463,6 @@ class Network:
         counters["retransmissions"] = sum(
             s.retransmissions for s in self.client.conns.values()
         ) + sum(c.side.retransmissions for c in self.server.conns.values())
-        counters.update(self._buffer_counts())
         trace = self.trace
         trace.events_fingerprint = events_fingerprint
         trace.expected_switchover_us = expected_switchover_us
@@ -568,9 +585,13 @@ class SdnNetwork(Network):
             sim.schedule_at(min(now - into_second + EXPIRY_TICK_US, self._next_keepalive),
                             self._control_tick)
 
-    def _buffer_counts(self) -> Dict[str, int]:
-        return {"buffer_residue": len(self.switch.pending),
-                "buffer_drops": self.switch.buffer_drops}
+    def finalize(self, events_fingerprint: Tuple[str, ...],
+                 expected_switchover_us: Optional[int]) -> MetricsTrace:
+        trace = super().finalize(events_fingerprint, expected_switchover_us)
+        # The packets the core held back for a flow install.
+        trace.counters["buffer_residue"] = len(self.switch.pending)
+        trace.counters["buffer_drops"] = self.switch.buffer_drops
+        return trace
 
 
 class TunnelNetwork(Network):
@@ -597,12 +618,15 @@ class TunnelNetwork(Network):
 
     def _start_dhcp(self, zone: Zone) -> None:
         # Binding registration precedes address (re)confirmation.
-        bud = self.tunnel.resolved_binding_delay(self.cfg.control_delay_us)
-        self._control_send(bud, self._bind, zone)
-        self.sim.schedule(bud, super()._start_dhcp, zone)
+        self._control_send(self.tunnel.resolved_binding_delay(self.cfg.control_delay_us),
+                           self._bind, zone)
 
     def _bind(self, zone: Zone) -> None:
+        """The binding acknowledgement: the tunnel ends at ``zone`` from
+        here on, and the client starts DHCP there in the same event, as a
+        mobile access gateway acts on the acknowledgement (RFC 5213)."""
         self.bound_zone = zone
+        super()._start_dhcp(zone)
 
     def _lease(self, zone: Zone) -> int:
         if self.home_addr is None:

@@ -55,7 +55,7 @@ def test_finished_run_holds_at_most_13_bytes_per_sample(mode, bundled_configs):
 def test_write_csv_peak_does_not_grow_with_window_count(tmp_path):
     windows = 36_000  # an hour of goodput; listed first, a 4.5 MB peak
     trace = MetricsTrace(
-        mode="sdn", seed=1, events_fingerprint=("e",),
+        events_fingerprint=("e",),
         deliveries=Series((i * WINDOW_US + 7, 8_000) for i in range(windows)),
     )
     path = tmp_path / "metrics.csv"

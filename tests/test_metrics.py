@@ -19,7 +19,7 @@ from sdnmob.units import US_PER_S
 
 
 def make_trace(**kwargs):
-    defaults = dict(mode="sdn", seed=1, events_fingerprint=("e",))
+    defaults = dict(events_fingerprint=("e",))
     defaults.update(kwargs)
     return MetricsTrace(**defaults)
 

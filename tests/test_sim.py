@@ -29,9 +29,9 @@ from sdnmob.sim import (
     pmip_switchover_budget_us,
 )
 from sdnmob.sim.metrics import ComparisonError, FlowExpired, FlowInstalled
-from sdnmob.sim.runner import move_client, validate_events
+from sdnmob.sim.runner import validate_events
 from sdnmob.sim.runner import StartBulkTransfer
-from sdnmob.sim.topology import SERVER_ADDR, SERVER_UID, ConfigurationError, SdnNetwork
+from sdnmob.sim.topology import SERVER_ADDR, SERVER_UID, SdnNetwork
 from sdnmob.tap_server import TapFilter, TapServer, ZoneConfig
 from sdnmob.units import US_PER_S, usec
 
@@ -142,7 +142,7 @@ class TestIdle:
         net = build_topology(cfg, mode, TunnelConfig())
         bud = 0 if mode is Mode.SDN else TunnelConfig().resolved_binding_delay(
             cfg.control_delay_us)
-        net.attach_client("z1")
+        net.move_client("z1")
         # The DISCOVER is consumed at the gateway and any binding update is
         # done: only the pending lease keeps the run busy.
         net.sim.run(until=bud + usec(0.05))
@@ -200,7 +200,7 @@ class TestEndOfRun:
             kwargs["zones"] = (ZoneConfig("z1", IPv4Network("10.1.0.0/24"), work_at),
                                ZoneConfig("z2", IPv4Network("10.2.0.0/24")))
             net = build_topology(TopologyConfig(**kwargs))
-            net.attach_client("z1")  # its DISCOVER is consumed at 1.1 ms
+            net.move_client("z1")  # its DISCOVER is consumed at 1.1 ms
         elif work == "control_message":
             net = build_topology(two_zone_cfg(**kwargs))
             net._control_send(work_at, lambda: None)
@@ -298,23 +298,23 @@ class TestEndOfRun:
 class TestMoveAndDhcp:
     def test_move_to_unknown_zone_rejected(self):
         net = build_topology(two_zone_cfg())
-        net.attach_client("z1")
+        net.move_client("z1")
         net.sim.run(until=usec(1))
         with pytest.raises(ScenarioError):
-            move_client(net, "z9")
+            net.move_client("z9")
 
     def test_attach_to_unknown_zone_rejected(self):
         net = build_topology(two_zone_cfg())
-        with pytest.raises(ConfigurationError) as err:
-            net.attach_client("nope")
+        with pytest.raises(ScenarioError) as err:
+            net.move_client("nope")
         assert str(err.value) == "unknown zone: 'nope'"
 
     def test_move_to_current_zone_rejected(self):
         net = build_topology(two_zone_cfg())
-        net.attach_client("z1")
+        net.move_client("z1")
         net.sim.run(until=usec(1))
         with pytest.raises(ScenarioError):
-            move_client(net, "z1")
+            net.move_client("z1")
 
     @pytest.mark.parametrize("mode", [Mode.SDN, Mode.PMIP])
     def test_move_while_acquiring_an_address_rejected(self, mode):
@@ -322,17 +322,35 @@ class TestMoveAndDhcp:
         in SDN mode that is the 100 ms DHCP latency, in PMIP mode the 10 ms
         binding update first and then the DHCP latency."""
         net = build_topology(two_zone_cfg(), mode, TunnelConfig())
-        net.attach_client("z1")
+        net.move_client("z1")
         # At 5 ms the SDN DISCOVER is consumed; the PMIP one is not yet sent.
         net.sim.run(until=usec(0.005))
         assert net.consumed == (1 if mode is Mode.SDN else 0)
         with pytest.raises(ScenarioError, match="during address acquisition"):
-            move_client(net, "z2")
+            net.move_client("z2")
         assert net.client.zone is net.zones["z1"] and not net.trace.handoffs
         net.sim.run(until=usec(0.2))  # the lease has landed in both modes
         assert net.client.addr is not None
-        move_client(net, "z2")
+        net.move_client("z2")
         assert net.client.zone is net.zones["z2"] and len(net.trace.handoffs) == 1
+
+    def test_pmip_binding_acknowledgement_starts_dhcp(self):
+        """A PMIP attach pushes one event. At the binding-update delay it
+        binds the tunnel to the zone and puts the DISCOVER on the uplink."""
+        tunnel = TunnelConfig()
+        net = build_topology(two_zone_cfg(), Mode.PMIP, tunnel)
+        bud = tunnel.resolved_binding_delay(net.cfg.control_delay_us)
+        z1 = net.zones["z1"]
+        net.move_client("z1")
+        assert net.sim.pending() == 1
+        assert net.bound_zone is None and net.transmissions == 0
+        net.sim.run(until=bud)
+        assert net.sim._seq - net.sim.pending() == 1  # one event has fired
+        assert net.sim.now == bud
+        assert net.bound_zone is z1 and net.transmissions == 1
+        # Pending: the DISCOVER's arrival at the gateway, then the lease.
+        assert [fn for _, _, fn, _ in sorted(net.sim._heap)] == [
+            z1.access_up._arrive, net._complete_dhcp]
 
     def test_client_sources_from_new_zone_after_move(self):
         net = build_topology(two_zone_cfg())
@@ -782,6 +800,45 @@ class TestStaleKeepaliveReReport:
         # z1 re-reports both of its leases, z2 its one, in cfg.zones order.
         assert at_pass == ["z1", "z1", "z2"]
         assert trace.losses == 0
+
+
+class TestLostReport:
+    """Bundled ``handoff_basic`` in SDN mode, with the first report of an
+    address in zone2's range lost on the control channel. zone2's tap
+    already holds the binding, so it stays silent until the next keepalive
+    pass, at 300 s, and the core buffers the client's traffic meanwhile."""
+
+    @staticmethod
+    def run(bundled_configs, monkeypatch):
+        cfg = bundled_configs["handoff_basic"]
+        net = build_topology(cfg.topology)
+        zone2 = net.zones["zone2"].span
+        deliver = SdnNetwork._deliver_report
+        lost = []
+
+        def lossy(self, wire):
+            if not lost and int(HostReport.parse(wire).real_ip) in zone2:
+                lost.append(wire)
+                return
+            deliver(self, wire)
+
+        monkeypatch.setattr(SdnNetwork, "_deliver_report", lossy)
+        return run_scenario(net, cfg.events), lost
+
+    def test_exactly_one_report_is_lost(self, bundled_configs, monkeypatch):
+        _, lost = self.run(bundled_configs, monkeypatch)
+        assert len(lost) == 1
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "lost report: nothing repairs the missed move before the 300 s "
+        "keepalive (ROADMAP item 1; item 19, step 1, is its repair path)"))
+    def test_session_survives_a_lost_report(self, bundled_configs, monkeypatch):
+        trace, _ = self.run(bundled_configs, monkeypatch)
+        assert trace.losses == 0
+        assert trace.resets == 0
+        assert len(trace.server_observed_sources) == 1
+        assert trace.handoffs
+        assert all(h.switchover_delay_us is not None for h in trace.handoffs)
 
 
 class TestRandomScenarios:

@@ -109,7 +109,7 @@ class TestTick:
             send(report)
 
         net._send_report = logged_send
-        net.attach_client("z1")
+        net.move_client("z1")
         net._control_send(usec(299.5), lambda: None)  # keeps the run going
         net.sim.run(until=usec(300) - 1)
         assert ticks == []

@@ -2,22 +2,29 @@
 hot path: every event passes through ``Simulator.schedule_at`` and every
 packet through ``Packet.__init__``, so its counts stay exact, and every
 admission through ``handle_host_report``, the module global
-``allocate_vpip`` and ``FlowTable.install``.
+``allocate_vpip`` and ``FlowTable.install``. The benchmark's per-layer read
+(``perfbench/run.py``'s ``_layer_metrics``) must keep finding what it
+reads on the networks and traces of a run.
 
-The tracer module is loaded from its file and only read; nothing under
-``perfbench/`` is written.
+The benchmark modules are loaded from their files and only read; nothing
+under ``perfbench/`` is written.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from campus import campus_network, campus_population, register
+from test_golden import load_perfbench
 from sdnmob.config import bundled_scenario_path, load_config
 from sdnmob.packet import Packet
 from sdnmob.sim import build_topology, run_scenario
 from sdnmob.sim.events import Simulator
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+PER_LAYER = [m["name"] for m in
+             json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]]
 
 
 def load_tracing():
@@ -70,3 +77,37 @@ def test_tracer_sees_every_admission():
     assert spans.get("ctl.alloc", 0) == clients
     assert spans.get("flow.install", 0) == 2 * clients
     assert rec.counts[-1]["ctl.report_installs"] == clients
+
+
+def test_layer_metrics_read_a_traced_operation(tmp_path, monkeypatch):
+    """One traced benchmark operation of bundled ``handoff_basic``: every
+    per-layer metric the benchmark declares for each mode is present, and
+    the transport and buffer reads agree with the run itself."""
+    load_perfbench("workloads", monkeypatch)
+    operation = load_perfbench("operation", monkeypatch)
+    tracing = load_perfbench("tracing", monkeypatch)
+    run = load_perfbench("run", monkeypatch)
+    rec = tracing.Recorder("handoff_basic")
+    rec.install()
+    try:
+        result = operation.run_operation("handoff_basic",
+                                         bundled_scenario_path("handoff_basic"), (),
+                                         str(tmp_path), tracer=rec)
+    finally:
+        rec.uninstall()
+    agg = rec.aggregate()
+    for mode, phases in (("sdn", ("setup", "sdn")), ("pmip", ("pmip",))):
+        runs = [i for i, (_, phase, _) in enumerate(rec.runs) if phase in phases]
+        metrics = run._layer_metrics(mode, runs, agg, rec.counts, result,
+                                     result.run_s[mode])
+        assert {name for name in PER_LAYER if name.startswith(f"{mode}.")} <= set(metrics)
+        net, trace = result.nets[mode], result.traces[mode]
+        sides = [*net.client.conns.values(),
+                 *(net.server.conns[conn_id].side for conn_id in net.client.conns)]
+        transmissions = metrics[f"{mode}.transport.transmissions"][0]
+        assert transmissions == sum(side.transmissions for side in sides)
+        # Every other host transmission is a DISCOVER or a solicitation,
+        # consumed at a gateway.
+        assert transmissions == trace.counters["transmissions"] - trace.counters["consumed"]
+        if mode == "sdn":
+            assert metrics["sdn.flow.buffer_drops"][0] == trace.counters["buffer_drops"]
