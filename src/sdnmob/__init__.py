@@ -27,7 +27,6 @@ from .flow_engine import (
     FlowMatch,
     FlowRule,
     FlowTable,
-    Forwarded,
     PacketIn,
     SdnSwitch,
     apply_actions,

@@ -6,6 +6,11 @@ matched on the exact destination address and rewriting it (inbound). Each
 picks an output port. Unmatched packets from local clients are escalated to
 the controller and buffered until a matching rule arrives; everything else
 falls through to the default route rule, which never expires.
+
+The switch's decision for a packet it forwards is a plain ``(packet,
+out_port)`` tuple, and each buffered packet is a ``(packet, deadline)``
+tuple: one is built per packet, and a tuple costs no Python-level
+constructor.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import (Callable, Deque, Dict, KeysView, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Deque, Dict, KeysView, List, Optional, Sequence, Tuple, Union
 
 from .packet import Packet, PacketKind
 from .units import US_PER_S
@@ -68,14 +72,14 @@ class FlowRule:
     install_seq: int = 0
 
 
-def apply_actions(rule: FlowRule, pkt: Packet) -> Forwarded:
+def apply_actions(rule: FlowRule, pkt: Packet) -> Tuple[Packet, str]:
     """Apply the rule's rewrite; returns the rewritten copy and its port.
 
     Payload length, sequence number and send timestamp are never touched.
     """
     if rule.match.src_ip is not None:
-        return Forwarded(pkt.with_src(rule.new_addr), rule.out_port)
-    return Forwarded(pkt.with_dst(rule.new_addr), rule.out_port)
+        return pkt.with_src(rule.new_addr), rule.out_port
+    return pkt.with_dst(rule.new_addr), rule.out_port
 
 
 def snat_rule(real_ip: int, virtual_ip: int, out_port: str,
@@ -216,26 +220,9 @@ class FlowTable:
         return removed
 
 
-class Forwarded(NamedTuple):
-    """A packet to send on ``out_port``. A named tuple, not a frozen
-    dataclass: one is built for every packet the core forwards."""
-
-    packet: Packet
-    out_port: str
-
-
 @dataclass(frozen=True)
 class PacketIn:
     packet: Packet
-
-
-ForwardDecision = Union[Forwarded, PacketIn]
-
-
-@dataclass
-class BufferedPacket:
-    packet: Packet
-    deadline: int
 
 
 class SdnSwitch:
@@ -253,11 +240,12 @@ class SdnSwitch:
         self.table = FlowTable()
         self.default_rule = self.table.install_default("route")
         self.route_port = route_port
-        self.pending: Deque[BufferedPacket] = deque()
+        self.pending: Deque[Tuple[Packet, int]] = deque()  # (packet, deadline)
         self.buffer_drops = 0
 
-    def process_packet(self, pkt: Packet, now: int) -> ForwardDecision:
-        """Classify one packet.
+    def process_packet(self, pkt: Packet, now: int) -> Union[Tuple[Packet, str], PacketIn]:
+        """Classify one packet: forward it as ``(packet, out_port)``, or
+        raise it to the controller as a ``PacketIn``.
 
         Translation rules are applied when they match; otherwise a packet
         from an unknown local source (for an escalated packet class) is
@@ -270,33 +258,34 @@ class SdnSwitch:
         if pkt.kind in ESCALATED_KINDS and self.route_port(pkt.src_ip) != EXT_PORT:
             self._buffer(pkt, now)
             return PacketIn(pkt)
-        return Forwarded(pkt, self.route_port(pkt.dst_ip))
+        return pkt, self.route_port(pkt.dst_ip)
 
     def _buffer(self, pkt: Packet, now: int) -> None:
         if len(self.pending) >= PACKET_IN_BUFFER_CAPACITY:
             self.pending.popleft()
             self.buffer_drops += 1
-        self.pending.append(BufferedPacket(pkt, now + PACKET_IN_BUFFER_TIMEOUT_US))
+        self.pending.append((pkt, now + PACKET_IN_BUFFER_TIMEOUT_US))
 
     def install(self, rule: FlowRule, now: int) -> FlowRule:
         return self.table.install(rule, now)
 
-    def drain(self, now: int) -> List[Forwarded]:
+    def drain(self, now: int) -> List[Tuple[Packet, str]]:
         """Re-process buffered packets after a flow install.
 
         Packets that now match a translation rule are released in arrival
-        order; expired ones are dropped; the rest stay buffered without
-        re-escalating.
+        order, each as ``(packet, out_port)``; expired ones are dropped; the
+        rest stay buffered without re-escalating.
         """
-        released: List[Forwarded] = []
-        keep: Deque[BufferedPacket] = deque()
+        released: List[Tuple[Packet, str]] = []
+        keep: Deque[Tuple[Packet, int]] = deque()
         for entry in self.pending:
-            if now > entry.deadline:
+            pkt, deadline = entry
+            if now > deadline:
                 self.buffer_drops += 1
                 continue
-            rule = self.table.match_packet(entry.packet, now)
+            rule = self.table.match_packet(pkt, now)
             if rule is not self.default_rule:
-                released.append(apply_actions(rule, entry.packet))
+                released.append(apply_actions(rule, pkt))
             else:
                 keep.append(entry)
         self.pending = keep

@@ -81,7 +81,7 @@ def validate_events(cfg: TopologyConfig, events: List[ScenarioEvent],
     for i, e in enumerate(events):
         if isinstance(e, MoveClient):
             if e.zone_id not in zones:
-                raise ScenarioError(f"unknown zone {e.zone_id!r}", i)
+                raise ScenarioError(f"unknown zone: {e.zone_id!r}", i)
             if e.zone_id == cur_zone:
                 raise ScenarioError(f"move to current zone {e.zone_id!r} at t={e.at_us}", i)
             if prev_move is None:
@@ -114,21 +114,21 @@ def _execute(net: Network, event: ScenarioEvent, events: List[ScenarioEvent]) ->
     if isinstance(event, MoveClient):
         net.move_client(event.zone_id)
     elif isinstance(event, StartEcho):
-        _, side = net.new_client_conn(echo=True)
+        _, side = net.new_client_conn(event.payload_len, echo=True)
         sim = net.sim
         # validate_events guarantees a stop at or after the start.
         stop_us = next(e.at_us for e in events
                        if isinstance(e, Stop) and e.at_us >= event.at_us)
 
         def tick() -> None:
-            side.submit(event.payload_len)
+            side.submit(1)
             if sim.now + event.interval_us < stop_us:
                 sim.schedule(event.interval_us, tick)
 
         tick()
     elif isinstance(event, StartBulkTransfer):
-        _, side = net.new_client_conn(echo=False)
-        side.submit_many(event.payload_len, event.total_bytes // event.payload_len)
+        _, side = net.new_client_conn(event.payload_len, echo=False)
+        side.submit(event.total_bytes // event.payload_len)
 
 
 def _horizon_us(cfg: TopologyConfig, events: List[ScenarioEvent]) -> int:

@@ -234,19 +234,19 @@ class ServerHost:
         self.addr = addr
         self.conns: Dict[int, ServerConn] = {}
 
-    def listen(self, conn_id: int, echo: bool) -> None:
-        """Open the server half of connection ``conn_id``. Its peer is the
-        source of the first data segment; ``echo`` sends each delivered
-        segment back."""
+    def listen(self, conn_id: int, payload_len: int, echo: bool) -> None:
+        """Open the server half of connection ``conn_id``, whose segments
+        carry ``payload_len`` bytes. Its peer is the source of the first
+        data segment; ``echo`` sends each delivered segment back."""
         deliveries = self.net.trace.deliveries
 
         def on_deliver(now: int, payload_len: int) -> None:
             deliveries.append(now, payload_len * 8)
             if echo:
-                side.submit(payload_len)
+                side.submit(1)
 
-        side = TransportSide(self, conn_id, None, rtt_log=self.net.trace.rtt_server,
-                             on_deliver=on_deliver)
+        side = TransportSide(self, conn_id, None, payload_len,
+                             rtt_log=self.net.trace.rtt_server, on_deliver=on_deliver)
         self.conns[conn_id] = ServerConn(side)
 
     def transmit(self, pkt: Packet) -> None:
@@ -402,7 +402,7 @@ class Network:
         client = self.client
         old = client.zone
         if old is zone:
-            raise ScenarioError(f"client already attached to {zone_id!r}")
+            raise ScenarioError(f"move to current zone {zone_id!r}")
         if old is not None:
             if client.addr is None:
                 raise ScenarioError("mobility event during address acquisition")
@@ -435,15 +435,16 @@ class Network:
 
     # -- traffic -------------------------------------------------------------------
 
-    def new_client_conn(self, echo: bool) -> Tuple[int, TransportSide]:
+    def new_client_conn(self, payload_len: int, echo: bool) -> Tuple[int, TransportSide]:
         """Open a connection from the client to the server, both halves at
-        once; ``echo`` makes the server send each segment back."""
+        once, for segments of ``payload_len`` bytes; ``echo`` makes the
+        server send each segment back."""
         client = self.client
         conn_id = len(client.conns)
-        side = TransportSide(client, conn_id, self.server.addr,
+        side = TransportSide(client, conn_id, self.server.addr, payload_len,
                              rtt_log=self.trace.rtt_client)
         client.conns[conn_id] = side
-        self.server.listen(conn_id, echo)
+        self.server.listen(conn_id, payload_len, echo)
         return conn_id, side
 
     # -- trace -------------------------------------------------------------------------
@@ -534,8 +535,8 @@ class SdnNetwork(Network):
         for rule in (action.snat, action.dnat):
             installed = self.switch.install(rule, now)
             self.trace.flow_events.append(FlowInstalled(now, action.uid, installed))
-        for decision in self.switch.drain(now):
-            self._port_links[decision.out_port].send(decision.packet)
+        for pkt, port in self.switch.drain(now):
+            self._port_links[port].send(pkt)
 
     def _apply_refresh(self, action: RefreshFlows) -> None:
         record = self.controller.mst.lookup(action.uid)
@@ -553,8 +554,8 @@ class SdnNetwork(Network):
             self._control_send(self.cfg.control_delay_us,
                                self._controller_packet_in, pkt)
         else:
-            # A Forwarded decision is a (packet, out_port) tuple.
-            self._port_links[decision[1]].send(decision[0])
+            out, port = decision
+            self._port_links[port].send(out)
 
     def _controller_packet_in(self, pkt: Packet) -> None:
         actions = self.controller.handle_packet_in(pkt, self.sim.now)

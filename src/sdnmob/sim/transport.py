@@ -8,6 +8,13 @@ server host resets a connection when a data packet arrives from a source
 other than the server side's peer; that is the failure mode the address
 translation scheme exists to prevent.
 
+Every segment of a connection carries the side's one ``payload_len``, so
+the sender keeps plain integers: ``pending`` counts the segments not yet
+sent, and ``unacked`` maps each outstanding sequence number to its send
+time, or to ``None`` once it has been retransmitted. Karn's rule (Karn and
+Partridge, 1987) never samples the RTT of a retransmitted segment, so its
+new send time is not kept.
+
 Senders pause while their host has no usable address (mid-handoff) and
 retransmit everything outstanding the moment a fresh address lands, which
 repairs any loss from the outage in one burst.
@@ -29,9 +36,8 @@ wheels).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from collections import OrderedDict
+from typing import Callable, Optional
 
 from ..packet import Packet, PacketKind
 from ..units import US_PER_S
@@ -47,20 +53,14 @@ _DATA = PacketKind.DATA
 _ACK = PacketKind.ACK
 
 
-@dataclass
-class SegMeta:
-    payload_len: int
-    sent_at: int
-    retransmitted: bool = False
-
-
 class TransportSide:
     """One endpoint (client or server role) of a reliable connection.
 
     The owning host supplies the clock, its current address and the
-    transmit path. The side keeps ``peer``, the address it sends to, and its
-    sender and receiver state. A server side starts with no peer and takes
-    the source of the first data segment it receives.
+    transmit path. The side keeps ``peer``, the address it sends to, the
+    ``payload_len`` of every segment it sends, and its sender and receiver
+    state. A server side starts with no peer and takes the source of the
+    first data segment it receives.
     """
 
     def __init__(
@@ -68,18 +68,21 @@ class TransportSide:
         host,
         conn_id: int,
         peer: Optional[int],
+        payload_len: int,
         rtt_log: Optional[Series] = None,
         on_deliver: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         self.host = host
         self.conn_id = conn_id
         self.peer = peer
+        self.payload_len = payload_len
         self.rtt_log = Series() if rtt_log is None else rtt_log
         self.on_deliver = on_deliver
         # sender
         self.next_seq = 0
-        self.pending: Deque[int] = deque()
-        self.unacked: "OrderedDict[int, SegMeta]" = OrderedDict()
+        self.pending = 0  # segments submitted, not yet sent
+        # seq -> send time, None once retransmitted; oldest first.
+        self.unacked: "OrderedDict[int, Optional[int]]" = OrderedDict()
         self.srtt: Optional[float] = None
         # Retransmission timer: the instant it expires (None: disarmed) and
         # the instant of the live pending wake-up (None: none pending).
@@ -97,46 +100,38 @@ class TransportSide:
 
     # -- sender --------------------------------------------------------------
 
-    def submit(self, payload_len: int) -> None:
-        """Hand one application segment to the transport."""
-        self.pending.append(payload_len)
-        self.submitted += 1
-        self.pump()
-
-    def submit_many(self, payload_len: int, count: int) -> None:
-        """Bulk submission (one transfer's worth of equal segments)."""
-        self.pending.extend([payload_len] * count)
+    def submit(self, count: int) -> None:
+        """Hand ``count`` application segments to the transport."""
+        self.pending += count
         self.submitted += count
         self.pump()
 
-    def can_send(self) -> bool:
-        return self.host.addr is not None
-
     def pump(self) -> None:
+        """Send pending segments while the window and the address allow."""
         host = self.host
-        unacked, pending = self.unacked, self.pending
-        while len(unacked) < SEND_WINDOW_SEGMENTS and pending and host.addr is not None:
-            payload_len = pending.popleft()
-            seq = self.next_seq
-            self.next_seq += 1
-            self._transmit_segment(seq, payload_len, retransmit=False)
+        unacked = self.unacked
+        if self.pending and host.addr is not None:
+            count = min(SEND_WINDOW_SEGMENTS - len(unacked), self.pending)
+            self.pending -= count
+            first = self.next_seq
+            self.next_seq = first + count
+            now = host.sim.now
+            for seq in range(first, first + count):
+                unacked[seq] = now
+                self._send(seq)
         if unacked and self.deadline is None and host.addr is not None:
             self._arm_timer()
 
-    def _transmit_segment(self, seq: int, payload_len: int, retransmit: bool) -> None:
+    def _send(self, seq: int) -> None:
         host = self.host
-        now = host.sim.now
-        pkt = Packet(host.addr, self.peer, host.uid, payload_len,
-                     seq, now, _DATA, self.conn_id)
-        if retransmit:
-            meta = self.unacked[seq]
-            meta.retransmitted = True
-            meta.sent_at = now
-            self.retransmissions += 1
-        else:
-            self.unacked[seq] = SegMeta(payload_len, now)
         self.transmissions += 1
-        host.transmit(pkt)
+        host.transmit(Packet(host.addr, self.peer, host.uid, self.payload_len,
+                             seq, host.sim.now, _DATA, self.conn_id))
+
+    def _retransmit(self, seq: int) -> None:
+        self.unacked[seq] = None
+        self.retransmissions += 1
+        self._send(seq)
 
     def _rto(self) -> int:
         if self.srtt is None:
@@ -168,47 +163,45 @@ class TransportSide:
         self._wakeup_at = self.deadline = None
         if not self.unacked:
             return
-        if not self.can_send():
+        if self.host.addr is None:
             # Host is between addresses; flush_all() restarts everything.
             return
-        oldest = next(iter(self.unacked))
-        self._transmit_segment(oldest, self.unacked[oldest].payload_len, retransmit=True)
+        self._retransmit(next(iter(self.unacked)))
         self._arm_timer()
 
     def receive_ack(self, pkt: Packet) -> None:
         ack = pkt.ack
         assert ack is not None
         unacked = self.unacked
-        meta = None  # the newest segment this ack covers
-        while unacked:
-            seq = next(iter(unacked))
-            if seq >= ack:
-                break
-            meta = unacked.pop(seq)
-        if meta is not None:
-            if not meta.retransmitted:
-                self._sample_rtt(meta)
+        # The outstanding seqs run without a gap up to next_seq - 1, so the
+        # ack covers this many of them (none for a stale ack).
+        covered = ack - self.next_seq + len(unacked)
+        if covered > 0:
+            for _ in range(covered):
+                sent_at = unacked.popitem(last=False)[1]  # ends at the newest
+            if sent_at is not None:
+                self._sample_rtt(sent_at)
             if unacked:
                 self._arm_timer()
             else:
                 self.deadline = None
         self.pump()
 
-    def _sample_rtt(self, meta: SegMeta) -> None:
-        sample = self.host.sim.now - meta.sent_at
+    def _sample_rtt(self, sent_at: int) -> None:
+        sample = self.host.sim.now - sent_at
         if self.srtt is None:
             self.srtt = float(sample)
         else:
             self.srtt = (1 - SRTT_ALPHA) * self.srtt + SRTT_ALPHA * sample
-        self.rtt_log.append(meta.sent_at, sample)
+        self.rtt_log.append(sent_at, sample)
 
     def flush_all(self) -> None:
         """Retransmit everything outstanding; called when a fresh address
         arrives after a handoff. Pending new data follows in the same burst."""
-        if not self.can_send():
+        if self.host.addr is None:
             return
         for seq in list(self.unacked):
-            self._transmit_segment(seq, self.unacked[seq].payload_len, retransmit=True)
+            self._retransmit(seq)
         self.pump()
         if self.unacked:
             self._arm_timer()

@@ -61,7 +61,8 @@ class ZoneConfig:
 
 @dataclass
 class TimeBufferEntry:
-    real_ip: int
+    """A buffered binding; its real address is its key in ``TapServer.buffer``."""
+
     uid: Uid
     last_seen_ms: int
 
@@ -111,7 +112,7 @@ class TapServer:
             self.rejected_spoofed += 1
             return None
         # New address, or the address changed hands (DHCP reuse): report.
-        self.buffer[src] = TimeBufferEntry(src, pkt.src_mac, now_ms)
+        self.buffer[src] = TimeBufferEntry(pkt.src_mac, now_ms)
         return HostReport(pkt.src_mac, IPv4Address(src))
 
     def tick(self, now: int) -> List[HostReport]:
@@ -123,4 +124,4 @@ class TapServer:
                  if now_ms - e.last_seen_ms > horizon_ms]
         for ip in stale:
             del self.buffer[ip]
-        return [HostReport(e.uid, IPv4Address(e.real_ip)) for e in self.buffer.values()]
+        return [HostReport(e.uid, IPv4Address(ip)) for ip, e in self.buffer.items()]

@@ -202,7 +202,7 @@ class TestEventListLocation:
     @pytest.mark.parametrize("lines,bad_index,message", [
         ((BULK, "stop at=-1"), 1, "event before t=0"),
         ((ECHO, "stop at=30", "move_client at=10 zone=zone2"), 2, "not sorted"),
-        ((ECHO, "move_client at=10 zone=zone9", "stop at=30"), 1, "unknown zone 'zone9'"),
+        ((ECHO, "move_client at=10 zone=zone9", "stop at=30"), 1, "unknown zone: 'zone9'"),
         ((ECHO, "move_client at=10 zone=zone1", "stop at=30"), 1, "move to current zone"),
         ((ECHO, "move_client at=0.05 zone=zone2", "stop at=30"), 1,
          "first move overlaps initial attach"),

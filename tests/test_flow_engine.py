@@ -13,7 +13,6 @@ from sdnmob.flow_engine import (
     FlowMatch,
     FlowRule,
     FlowTable,
-    Forwarded,
     InstallRejected,
     PacketIn,
     SdnSwitch,
@@ -455,10 +454,10 @@ class TestSwitch:
         snat, dnat = nat_pair()
         sw.install(snat, now=0)
         sw.install(dnat, now=0)
-        decision = sw.process_packet(data_packet(src="10.1.0.5"), now=1)
-        assert isinstance(decision, Forwarded)
-        assert str(IPv4Address(decision.packet.src_ip)) == "198.51.100.7"
-        assert decision.out_port == "ext"
+        out, port = sw.process_packet(data_packet(src="10.1.0.5"), now=1)
+        assert isinstance(out, Packet)
+        assert str(IPv4Address(out.src_ip)) == "198.51.100.7"
+        assert port == "ext"
 
     def test_unknown_local_source_escalates_and_buffers(self):
         sw = self.make_switch()
@@ -470,9 +469,9 @@ class TestSwitch:
     def test_external_source_routes_by_default(self):
         sw = self.make_switch()
         pkt = data_packet(src="203.0.113.10", dst="192.0.2.1")
-        decision = sw.process_packet(pkt, now=0)
-        assert isinstance(decision, Forwarded)
-        assert decision.out_port == "ext"
+        out, port = sw.process_packet(pkt, now=0)
+        assert out is pkt
+        assert port == "ext"
 
     def test_reply_to_virtual_address_restored(self):
         sw = self.make_switch()
@@ -480,10 +479,10 @@ class TestSwitch:
         sw.install(snat, now=0)
         sw.install(dnat, now=0)
         reply = data_packet(src="203.0.113.10", dst="198.51.100.7")
-        decision = sw.process_packet(reply, now=0)
-        assert isinstance(decision, Forwarded)
-        assert str(IPv4Address(decision.packet.dst_ip)) == "10.1.0.5"
-        assert decision.out_port == "zone:z1"
+        out, port = sw.process_packet(reply, now=0)
+        assert isinstance(out, Packet)
+        assert str(IPv4Address(out.dst_ip)) == "10.1.0.5"
+        assert port == "zone:z1"
 
     def test_drain_releases_buffered_after_install(self):
         sw = self.make_switch()
@@ -493,8 +492,9 @@ class TestSwitch:
         sw.install(snat, now=1)
         sw.install(dnat, now=1)
         released = sw.drain(now=1)
-        assert len(released) == 1
-        assert str(IPv4Address(released[0].packet.src_ip)) == "198.51.100.7"
+        [(out, port)] = released
+        assert str(IPv4Address(out.src_ip)) == "198.51.100.7"
+        assert port == "ext"
         assert not sw.pending
 
     def test_buffer_overflow_drops_oldest(self):
@@ -503,7 +503,7 @@ class TestSwitch:
             sw.process_packet(data_packet(src="10.1.0.9", seq=i), now=0)
         assert len(sw.pending) == 64
         assert sw.buffer_drops == 6
-        assert sw.pending[0].packet.seq == 6
+        assert sw.pending[0][0].seq == 6
 
     def test_buffered_packet_expires_at_drain(self):
         sw = self.make_switch()
@@ -522,8 +522,9 @@ class TestSwitch:
             src_mac=UID, payload_len=0, seq=0, sent_at=0,
             kind=PacketKind.DHCP_DISCOVER,
         )
-        decision = sw.process_packet(pkt, now=0)
-        assert isinstance(decision, Forwarded)
+        out, port = sw.process_packet(pkt, now=0)
+        assert out is pkt
+        assert port == "ext"
 
 
 class TestProperties:

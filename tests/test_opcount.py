@@ -21,7 +21,7 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcount.py"
 
 PINNED_INTERPRETER = ("cpython", (3, 11))
-PINNED = {"sdn": 2_236_719, "pmip": 1_957_532}
+PINNED = {"sdn": 2_187_842, "pmip": 1_932_631}
 
 
 @pytest.fixture(scope="module")

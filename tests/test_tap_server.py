@@ -159,9 +159,9 @@ class TestSpoofGuardProperty:
             report = tap.observe_packet(tapped(src, uid=Uid.from_int(uid_val)), now=now)
             if report is not None:
                 assert report.real_ip in ZONE.dhcp_range
-        for entry in tap.buffer.values():
-            assert IPv4Address(entry.real_ip) in ZONE.dhcp_range
-            assert str(IPv4Address(entry.real_ip)) != "0.0.0.0"
+        for real_ip in tap.buffer:
+            assert IPv4Address(real_ip) in ZONE.dhcp_range
+            assert str(IPv4Address(real_ip)) != "0.0.0.0"
 
     @given(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 5)), max_size=60))
     @settings(max_examples=200)

@@ -45,7 +45,7 @@ def data_from_peer(side, seq, payload=100):
 def make_side(addr="10.1.0.5"):
     sim = Simulator()
     host = StubHost(sim, addr)
-    side = TransportSide(host, conn_id=0, peer=PEER)
+    side = TransportSide(host, conn_id=0, peer=PEER, payload_len=100)
     return sim, host, side
 
 
@@ -53,27 +53,30 @@ class TestSender:
     def test_submit_transmits_within_window(self):
         _, host, side = make_side()
         for _ in range(5):
-            side.submit(100)
+            side.submit(1)
         assert [p.seq for p in host.sent] == [0, 1, 2, 3, 4]
         assert all(p.kind is PacketKind.DATA and p.dst_ip == int(PEER) for p in host.sent)
 
     def test_window_caps_outstanding_segments(self, monkeypatch):
         monkeypatch.setattr(transport, "SEND_WINDOW_SEGMENTS", 4)
         _, host, side = make_side()
-        side.submit_many(100, 10)
+        side.submit(10)
         assert len(host.sent) == 4
         side.receive_ack(ack_for(side, 2))
         assert len(host.sent) == 6  # two more released
 
     def test_cumulative_ack_clears_prefix(self):
         _, host, side = make_side()
-        side.submit_many(100, 5)
+        side.submit(5)
         side.receive_ack(ack_for(side, 3))
         assert sorted(side.unacked) == [3, 4]
+        side.receive_ack(ack_for(side, 2, seq=1))  # stale: covers nothing
+        assert sorted(side.unacked) == [3, 4]
+        assert len(side.rtt_log) == 1
 
     def test_timeout_retransmits_oldest(self):
         sim, host, side = make_side()
-        side.submit(100)
+        side.submit(1)
         assert len(host.sent) == 1
         sim.run(until=INITIAL_RTO_US + 1)
         assert len(host.sent) == 2
@@ -82,15 +85,15 @@ class TestSender:
 
     def test_no_sending_without_address(self):
         _, host, side = make_side(addr=None)
-        side.submit(100)
+        side.submit(1)
         assert host.sent == []
-        assert len(side.pending) == 1
+        assert side.pending == 1
 
     def test_flush_on_new_address_resends_everything(self):
         sim, host, side = make_side()
-        side.submit_many(100, 3)
+        side.submit(3)
         host.addr = None
-        side.submit(100)  # queued during outage
+        side.submit(1)  # queued during outage
         host.addr = IPv4Address("10.2.0.9")
         side.flush_all()
         flushed = host.sent[3:]
@@ -101,12 +104,12 @@ class TestSender:
         samples = Series()
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0, PEER, rtt_log=samples)
-        side.submit(100)
+        side = TransportSide(host, 0, PEER, 100, rtt_log=samples)
+        side.submit(1)
         sim.run(until=INITIAL_RTO_US + 1)  # forces one retransmission
         side.receive_ack(ack_for(side, 1))
         assert list(samples) == []
-        side.submit(100)
+        side.submit(1)
         sent_at = sim.now
         sim.now += 5_000
         side.receive_ack(ack_for(side, 2, seq=1))
@@ -129,7 +132,7 @@ class TestTimer:
         sim, host, side = make_side()
         assert SEND_WINDOW_SEGMENTS == 32
         acks = 512
-        side.submit_many(100, acks)
+        side.submit(acks)
         for k in range(1, acks + 1):  # one ACK a millisecond, one segment each
             sim.schedule_at(k * 1_000, side.receive_ack, ack_for(side, k))
         sim.run()
@@ -144,7 +147,7 @@ class TestTimer:
 
     def test_timeout_at_last_arm_plus_rto(self):
         sim, host, side = make_side()
-        side.submit_many(100, 3)  # armed at 0 for the initial RTO (1 s)
+        side.submit(3)  # armed at 0 for the initial RTO (1 s)
         sim.schedule_at(300_000, side.receive_ack, ack_for(side, 1))
         sim.run(until=300_000)
         rto = side._rto()
@@ -157,7 +160,7 @@ class TestTimer:
 
     def test_smaller_rto_fires_before_the_pending_wakeup(self):
         sim, host, side = make_side()
-        side.submit_many(100, 3)  # pending wake-up at 1 s
+        side.submit(3)  # pending wake-up at 1 s
         sim.schedule_at(10_000, side.receive_ack, ack_for(side, 1))
         sim.run(until=1_200_000)
         # srtt 10 ms, so RTO 40 ms: the first timeout at 10 + 40 ms, then
@@ -168,7 +171,7 @@ class TestTimer:
 
     def test_disarmed_timer_never_retransmits(self):
         sim, host, side = make_side()
-        side.submit_many(100, 2)
+        side.submit(2)
         sim.schedule_at(1_000, side.receive_ack, ack_for(side, 2))
         sim.run()
         assert side.deadline is None
@@ -183,7 +186,7 @@ class TestReceiver:
         delivered = []
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0, PEER,
+        side = TransportSide(host, 0, PEER, 100,
                              on_deliver=lambda t, n: delivered.append(n))
         side.receive_data(data_from_peer(side, 0))
         side.receive_data(data_from_peer(side, 1))
@@ -195,7 +198,7 @@ class TestReceiver:
         delivered = []
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0, PEER,
+        side = TransportSide(host, 0, PEER, 100,
                              on_deliver=lambda t, n: delivered.append(n))
         side.receive_data(data_from_peer(side, 1))
         assert delivered == []
@@ -206,7 +209,7 @@ class TestReceiver:
     def test_duplicate_counted_and_reacked(self):
         sim = Simulator()
         host = StubHost(sim)
-        side = TransportSide(host, 0, PEER)
+        side = TransportSide(host, 0, PEER, 100)
         side.receive_data(data_from_peer(side, 0))
         side.receive_data(data_from_peer(side, 0))
         assert side.duplicates == 1
@@ -237,7 +240,7 @@ class TestResetRule:
 
     def test_source_change_counts_reset(self):
         net = self.network()
-        net.new_client_conn(echo=False)
+        net.new_client_conn(100, echo=False)
         server = net.server
         server.handle(self.data(net, "10.1.0.5", 0))
         assert net.trace.resets == 0
@@ -248,7 +251,7 @@ class TestResetRule:
 
     def test_stable_source_never_resets(self):
         net = self.network()
-        net.new_client_conn(echo=False)
+        net.new_client_conn(100, echo=False)
         for seq in range(20):
             net.server.handle(self.data(net, "198.51.100.7", seq))
         assert net.trace.resets == 0
@@ -256,7 +259,7 @@ class TestResetRule:
 
     def test_data_for_an_unopened_connection_is_a_host_drop(self):
         net = self.network()
-        net.new_client_conn(echo=False)  # opens connection 0 only
+        net.new_client_conn(100, echo=False)  # opens connection 0 only
         net.server.handle(self.data(net, "10.1.0.5", 0, conn_id=1))
         assert (net.host_drops, net.accepted) == (1, 0)
         assert list(net.server.conns) == [0]
