@@ -16,7 +16,7 @@ import sys
 import traceback
 from typing import Dict, List, Optional
 
-from .config import ConfigError, RunConfig, bundled_scenario_path, load_config
+from .config import MODES, ConfigError, RunConfig, bundled_scenario_path, load_config
 from .sim.metrics import (
     MetricsTrace,
     compare_runs,
@@ -94,8 +94,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="scenario file, or a bundled scenario name "
              "(handoff_basic, handoff_bulk, ping_pong)",
     )
-    run_parser.add_argument("--mode", choices=["sdn", "pmip", "both"],
-                            default="both")
+    run_parser.add_argument("--mode", choices=MODES, default="both")
     run_parser.add_argument("--seed", type=int, default=None,
                             help="override the scenario's generator seed")
     run_parser.add_argument("--out", default=None, help="output directory")

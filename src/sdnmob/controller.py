@@ -48,7 +48,7 @@ class HostReport:
     WIRE_SEPARATOR = "#"
 
     def serialize(self) -> str:
-        return f"{self.uid.text}#{self.real_ip}\n"
+        return f"{self.uid.text}{self.WIRE_SEPARATOR}{self.real_ip}\n"
 
     @classmethod
     def parse(cls, wire: str) -> "HostReport":

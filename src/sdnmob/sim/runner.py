@@ -114,7 +114,7 @@ def _execute(net: Network, event: ScenarioEvent, events: List[ScenarioEvent]) ->
     if isinstance(event, MoveClient):
         net.move_client(event.zone_id)
     elif isinstance(event, StartEcho):
-        _, side = net.new_client_conn(event.payload_len, echo=True)
+        side = net.new_client_conn(event.payload_len, echo=True)
         sim = net.sim
         # validate_events guarantees a stop at or after the start.
         stop_us = next(e.at_us for e in events
@@ -127,7 +127,7 @@ def _execute(net: Network, event: ScenarioEvent, events: List[ScenarioEvent]) ->
 
         tick()
     elif isinstance(event, StartBulkTransfer):
-        _, side = net.new_client_conn(event.payload_len, echo=False)
+        side = net.new_client_conn(event.payload_len, echo=False)
         side.submit(event.total_bytes // event.payload_len)
 
 
@@ -168,17 +168,18 @@ def run_scenario(net: Network, events: List[ScenarioEvent]) -> MetricsTrace:
             net.sim.schedule_at(event.at_us, _execute, net, event, events)
     net.sim.run(until=_horizon_us(net.cfg, events))
 
-    expected = None
+    trace = net.finalize()
+    trace.events_fingerprint = events_fingerprint(events)
     payload = _handoff_payload(events)
     first_move = next((e for e in events if isinstance(e, MoveClient)), None)
     if first_move is not None and payload is not None:
         if net.mode is Mode.SDN:
-            expected = sdn_switchover_budget_us(net.cfg, payload, first_move.zone_id)
+            trace.expected_switchover_us = sdn_switchover_budget_us(
+                net.cfg, payload, first_move.zone_id)
         else:
-            expected = pmip_switchover_budget_us(
-                net.cfg, net.tunnel, payload, first_move.zone_id
-            )
-    return net.finalize(events_fingerprint(events), expected)
+            trace.expected_switchover_us = pmip_switchover_budget_us(
+                net.cfg, net.tunnel, payload, first_move.zone_id)
+    return trace
 
 
 def run_pmip_baseline(net: Network, events: List[ScenarioEvent],

@@ -10,8 +10,9 @@ at a host (``host_drops``), or dropped on a link, which counts its own drops
 by reason. Everything else the run records goes straight into
 ``Network.trace``, the ``MetricsTrace`` the run returns; ``finalize`` adds
 the losses and folds the fates into its counters. ``new_client_conn`` opens
-both halves of a connection at once, and each half holds its peer: the
-client's is the server, the server's is the source of the data it receives.
+both halves of a connection at once and returns the client's, and each half
+holds its peer: the client's is the server, the server's is the source of
+the data it receives.
 
 ``SdnNetwork`` adds the least set of SDN features: per-zone tap servers, the
 controller and a flow-table core that translates the client's zone-local
@@ -200,11 +201,8 @@ class ClientHost:
         self.zone.access_up.send(pkt)
 
     def handle(self, pkt: Packet) -> None:
-        if pkt.dst_ip != self.addr:
-            self.net.host_drops += 1
-            return
         side = self.conns.get(pkt.conn_id)
-        if side is None:
+        if side is None or pkt.dst_ip != self.addr:
             self.net.host_drops += 1
             return
         self.net.accepted += 1
@@ -239,9 +237,10 @@ class ServerHost:
         carry ``payload_len`` bytes. Its peer is the source of the first
         data segment; ``echo`` sends each delivered segment back."""
         deliveries = self.net.trace.deliveries
+        bits = payload_len * 8
 
-        def on_deliver(now: int, payload_len: int) -> None:
-            deliveries.append(now, payload_len * 8)
+        def on_deliver(now: int) -> None:
+            deliveries.append(now, bits)
             if echo:
                 side.submit(1)
 
@@ -435,7 +434,7 @@ class Network:
 
     # -- traffic -------------------------------------------------------------------
 
-    def new_client_conn(self, payload_len: int, echo: bool) -> Tuple[int, TransportSide]:
+    def new_client_conn(self, payload_len: int, echo: bool) -> TransportSide:
         """Open a connection from the client to the server, both halves at
         once, for segments of ``payload_len`` bytes; ``echo`` makes the
         server send each segment back."""
@@ -445,17 +444,16 @@ class Network:
                              rtt_log=self.trace.rtt_client)
         client.conns[conn_id] = side
         self.server.listen(conn_id, payload_len, echo)
-        return conn_id, side
+        return side
 
     # -- trace -------------------------------------------------------------------------
 
-    def finalize(self, events_fingerprint: Tuple[str, ...],
-                 expected_switchover_us: Optional[int]) -> MetricsTrace:
+    def finalize(self) -> MetricsTrace:
         losses = 0
         for conn_id, client_side in self.client.conns.items():
             server_side = self.server.conns[conn_id].side
-            losses += client_side.submitted - server_side.delivered_segments
-            losses += server_side.submitted - client_side.delivered_segments
+            losses += client_side.submitted - server_side.expected
+            losses += server_side.submitted - client_side.expected
         fates = {"transmissions": self.transmissions, "accepted": self.accepted,
                  "consumed": self.consumed, "host_drops": self.host_drops,
                  "link_drops": sum(link.down_at_send + link.down_at_arrival
@@ -465,8 +463,6 @@ class Network:
             s.retransmissions for s in self.client.conns.values()
         ) + sum(c.side.retransmissions for c in self.server.conns.values())
         trace = self.trace
-        trace.events_fingerprint = events_fingerprint
-        trace.expected_switchover_us = expected_switchover_us
         trace.losses = losses
         trace.counters = counters
         return trace
@@ -586,9 +582,8 @@ class SdnNetwork(Network):
             sim.schedule_at(min(now - into_second + EXPIRY_TICK_US, self._next_keepalive),
                             self._control_tick)
 
-    def finalize(self, events_fingerprint: Tuple[str, ...],
-                 expected_switchover_us: Optional[int]) -> MetricsTrace:
-        trace = super().finalize(events_fingerprint, expected_switchover_us)
+    def finalize(self) -> MetricsTrace:
+        trace = super().finalize()
         # The packets the core held back for a flow install.
         trace.counters["buffer_residue"] = len(self.switch.pending)
         trace.counters["buffer_drops"] = self.switch.buffer_drops

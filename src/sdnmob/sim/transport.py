@@ -9,11 +9,12 @@ other than the server side's peer; that is the failure mode the address
 translation scheme exists to prevent.
 
 Every segment of a connection carries the side's one ``payload_len``, so
-the sender keeps plain integers: ``pending`` counts the segments not yet
-sent, and ``unacked`` maps each outstanding sequence number to its send
-time, or to ``None`` once it has been retransmitted. Karn's rule (Karn and
-Partridge, 1987) never samples the RTT of a retransmitted segment, so its
-new send time is not kept.
+a side's state is its sequence numbers. The sender has ``submitted -
+next_seq`` segments still to send, and ``unacked`` maps each outstanding
+seq to its send time, or to ``None`` once retransmitted, since Karn's rule
+(Karn and Partridge, 1987) never samples those. The receiver keeps
+``expected`` (RCV.NXT, RFC 9293), which is also the count delivered, and
+``ooo``, the seqs it holds out of order.
 
 Senders pause while their host has no usable address (mid-handoff) and
 retransmit everything outstanding the moment a fresh address lands, which
@@ -70,7 +71,7 @@ class TransportSide:
         peer: Optional[int],
         payload_len: int,
         rtt_log: Optional[Series] = None,
-        on_deliver: Optional[Callable[[int, int], None]] = None,
+        on_deliver: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.host = host
         self.conn_id = conn_id
@@ -80,7 +81,6 @@ class TransportSide:
         self.on_deliver = on_deliver
         # sender
         self.next_seq = 0
-        self.pending = 0  # segments submitted, not yet sent
         # seq -> send time, None once retransmitted; oldest first.
         self.unacked: "OrderedDict[int, Optional[int]]" = OrderedDict()
         self.srtt: Optional[float] = None
@@ -92,28 +92,24 @@ class TransportSide:
         self.transmissions = 0
         self.retransmissions = 0
         # receiver
-        self.expected = 0
-        self.ooo: dict[int, int] = {}
-        self.delivered_segments = 0
+        self.expected = 0  # also the number of segments delivered
+        self.ooo: set[int] = set()
         self.duplicates = 0
-        self._ack_seq = 0
 
     # -- sender --------------------------------------------------------------
 
     def submit(self, count: int) -> None:
         """Hand ``count`` application segments to the transport."""
-        self.pending += count
         self.submitted += count
         self.pump()
 
     def pump(self) -> None:
-        """Send pending segments while the window and the address allow."""
+        """Send unsent segments while the window and the address allow."""
         host = self.host
         unacked = self.unacked
-        if self.pending and host.addr is not None:
-            count = min(SEND_WINDOW_SEGMENTS - len(unacked), self.pending)
-            self.pending -= count
-            first = self.next_seq
+        first = self.next_seq
+        if first != self.submitted and host.addr is not None:
+            count = min(SEND_WINDOW_SEGMENTS - len(unacked), self.submitted - first)
             self.next_seq = first + count
             now = host.sim.now
             for seq in range(first, first + count):
@@ -160,9 +156,8 @@ class TransportSide:
             self._wakeup_at = deadline
             self.host.sim.schedule_at(deadline, self._on_wakeup)
             return
+        # A live deadline implies outstanding segments.
         self._wakeup_at = self.deadline = None
-        if not self.unacked:
-            return
         if self.host.addr is None:
             # Host is between addresses; flush_all() restarts everything.
             return
@@ -210,27 +205,26 @@ class TransportSide:
 
     def receive_data(self, pkt: Packet) -> None:
         if pkt.seq == self.expected:
-            self._deliver(pkt.seq, pkt.payload_len)
+            self._deliver()
             while self.expected in self.ooo:
-                self._deliver(self.expected, self.ooo.pop(self.expected))
+                self.ooo.remove(self.expected)
+                self._deliver()
         elif pkt.seq > self.expected:
-            self.ooo[pkt.seq] = pkt.payload_len
+            self.ooo.add(pkt.seq)
         else:
             self.duplicates += 1
         self._send_ack()
 
-    def _deliver(self, seq: int, payload_len: int) -> None:
-        self.expected = seq + 1
-        self.delivered_segments += 1
+    def _deliver(self) -> None:
+        self.expected += 1
         if self.on_deliver is not None:
-            self.on_deliver(self.host.sim.now, payload_len)
+            self.on_deliver(self.host.sim.now)
 
     def _send_ack(self) -> None:
         host = self.host
         if host.addr is None:
             return
         pkt = Packet(host.addr, self.peer, host.uid, 0,
-                     self._ack_seq, host.sim.now, _ACK, self.conn_id, self.expected)
-        self._ack_seq += 1
+                     0, host.sim.now, _ACK, self.conn_id, self.expected)
         self.transmissions += 1
         host.transmit(pkt)

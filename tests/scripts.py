@@ -12,9 +12,10 @@ from sdnmob.units import usec
 
 
 @st.composite
-def echo_scripts(draw):
-    """``(TopologyConfig, events, echo payload length)``."""
-    n_zones = draw(st.integers(2, 3))
+def echo_scripts(draw, min_zones=2):
+    """``(TopologyConfig, events, echo payload length)`` over ``min_zones``
+    to three zones."""
+    n_zones = draw(st.integers(min_zones, 3))
     zones = tuple(
         ZoneConfig(f"z{i}", IPv4Network(f"10.{i + 1}.0.0/24"), usec(0.1))
         for i in range(n_zones)

@@ -92,5 +92,5 @@ def test_queued_bulk_transfer_holds_no_memory_per_segment():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert side.pending == segments and not side.unacked
+    assert (side.submitted, side.next_seq) == (segments, 0) and not side.unacked
     assert held <= MAX_PENDING_BYTES, held

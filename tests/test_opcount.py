@@ -21,7 +21,7 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcount.py"
 
 PINNED_INTERPRETER = ("cpython", (3, 11))
-PINNED = {"sdn": 2_187_842, "pmip": 1_932_631}
+PINNED = {"sdn": 2_159_653, "pmip": 1_904_456}
 
 
 @pytest.fixture(scope="module")

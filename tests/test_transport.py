@@ -2,6 +2,9 @@
 
 from ipaddress import IPv4Address
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sdnmob.addressing import Uid
 from sdnmob.packet import Packet, PacketKind
 from sdnmob.sim.events import Simulator
@@ -87,7 +90,7 @@ class TestSender:
         _, host, side = make_side(addr=None)
         side.submit(1)
         assert host.sent == []
-        assert side.pending == 1
+        assert (side.submitted, side.next_seq) == (1, 0)
 
     def test_flush_on_new_address_resends_everything(self):
         sim, host, side = make_side()
@@ -138,7 +141,7 @@ class TestTimer:
         sim.run()
         wakeups = sim._seq - acks
         assert side.retransmissions == 0
-        assert len(host.sent) == acks and not side.unacked and not side.pending
+        assert len(host.sent) == acks and not side.unacked and side.next_seq == acks
         # The RTO stays above 4 ms, so about one wake-up per RTO plus the
         # one left from the initial 1 s timer; the old re-arm scheduled one
         # per ACK.
@@ -181,16 +184,41 @@ class TestTimer:
         assert sim.now == INITIAL_RTO_US
 
 
+@st.composite
+def arrivals(draw):
+    """``(n, order)``: every seq of ``0..n-1`` and up to 20 repeats, in any
+    order."""
+    n = draw(st.integers(1, 40))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=20))
+    return n, draw(st.permutations(list(range(n)) + repeats))
+
+
 class TestReceiver:
+    @given(arrivals())
+    @settings(max_examples=300, deadline=None)
+    def test_any_arrival_order_delivers_each_segment_once(self, drawn):
+        n, order = drawn
+        delivered = []
+        sim = Simulator()
+        host = StubHost(sim)
+        side = TransportSide(host, 0, PEER, 100, on_deliver=delivered.append)
+        for seq in order:
+            side.receive_data(data_from_peer(side, seq))
+        assert len(delivered) == n and side.expected == n and not side.ooo
+        assert side.duplicates <= len(order) - n
+        acks = [p.ack for p in host.sent]
+        assert len(acks) == len(order)  # one ACK per arrival
+        assert acks == sorted(acks) and acks[-1] == n
+
     def test_in_order_delivery_and_ack(self):
         delivered = []
         sim = Simulator()
         host = StubHost(sim)
         side = TransportSide(host, 0, PEER, 100,
-                             on_deliver=lambda t, n: delivered.append(n))
+                             on_deliver=delivered.append)
         side.receive_data(data_from_peer(side, 0))
         side.receive_data(data_from_peer(side, 1))
-        assert delivered == [100, 100]
+        assert delivered == [0, 0]  # two deliveries, both at time 0
         acks = [p for p in host.sent if p.kind is PacketKind.ACK]
         assert [p.ack for p in acks] == [1, 2]
 
@@ -199,11 +227,11 @@ class TestReceiver:
         sim = Simulator()
         host = StubHost(sim)
         side = TransportSide(host, 0, PEER, 100,
-                             on_deliver=lambda t, n: delivered.append(n))
+                             on_deliver=delivered.append)
         side.receive_data(data_from_peer(side, 1))
         assert delivered == []
         side.receive_data(data_from_peer(side, 0))
-        assert delivered == [100, 100]
+        assert delivered == [0, 0]  # two deliveries, both at time 0
         assert side.expected == 2
 
     def test_duplicate_counted_and_reacked(self):
@@ -213,7 +241,7 @@ class TestReceiver:
         side.receive_data(data_from_peer(side, 0))
         side.receive_data(data_from_peer(side, 0))
         assert side.duplicates == 1
-        assert side.delivered_segments == 1
+        assert side.expected == 1
         acks = [p.ack for p in host.sent]
         assert acks == [1, 1]
 
