@@ -19,7 +19,8 @@ message, link arrival, scenario event or timer is an entry in it, so
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+import math
+from typing import Any, Callable, List, Tuple
 
 _Entry = Tuple[int, int, Callable[..., None], Tuple[Any, ...]]
 
@@ -43,13 +44,11 @@ class Simulator:
     def pending(self) -> int:
         return len(self._heap)
 
-    def run(self, until: Optional[int] = None) -> None:
+    def run(self, until: float = math.inf) -> None:
         """Process events until the queue drains (or past ``until``)."""
         heap = self._heap
         pop = heapq.heappop
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
+        while heap and heap[0][0] <= until:
             when, _, fn, args = pop(heap)
             self.now = when
             fn(*args)

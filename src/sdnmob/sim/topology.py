@@ -16,7 +16,11 @@ the data it receives.
 
 ``SdnNetwork`` adds the least set of SDN features: per-zone tap servers, the
 controller and a flow-table core that translates the client's zone-local
-address to its stable virtual address. One control-plane timer runs both
+address to its stable virtual address. Every control message is a plain
+value sent through ``SdnNetwork._control_send``: a report's ASCII wire
+string, the switch's ``PacketIn``, ``InstallFlows`` or ``RefreshFlows``. The
+class table ``_HANDLERS`` picks the handler by the message's type, and it
+runs after the control delay. One control-plane timer runs both
 of its periodic passes, the taps' keepalive and the flow expiry. It is the
 only event that reschedules itself for good, so it decides when an SDN run
 ends: it reschedules exactly while some other event is pending, and
@@ -34,7 +38,7 @@ import enum
 import random
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..addressing import AddressPool, Uid, check_disjoint, int_span
 from ..controller import (
@@ -374,11 +378,7 @@ class Network:
                 return zone.port
         return EXT_PORT
 
-    # -- control channel and core ------------------------------------------------
-
-    def _control_send(self, delay: int, fn: Callable[..., None], *args) -> None:
-        """Deliver a control message: run ``fn(*args)`` after ``delay``."""
-        self.sim.schedule(delay, fn, *args)
+    # -- core ----------------------------------------------------------------------
 
     def _core_handle(self, pkt: Packet) -> None:
         raise NotImplementedError
@@ -484,7 +484,6 @@ class SdnNetwork(Network):
             idle_timeout=cfg.idle_timeout_us,
         )
         self.switch = SdnSwitch(self._zone_port)
-        self._next_keepalive = cfg.keepalive_interval_us
         self._liveness_window = int(LIVENESS_WINDOW_FACTOR * cfg.keepalive_interval_us)
         self.sim.schedule_at(min(EXPIRY_TICK_US, cfg.keepalive_interval_us),
                              self._control_tick)
@@ -500,31 +499,32 @@ class SdnNetwork(Network):
         def up(pkt: Packet) -> None:
             report = tap.observe_packet(pkt, sim.now)
             if report is not None:
-                self._send_report(report)
+                self._control_send(report.serialize())
             gateway(pkt)
         return up
 
-    # -- tap / control plane ----------------------------------------------------
+    # -- control channel -------------------------------------------------------
 
-    def _send_report(self, report: HostReport) -> None:
-        # The control channel carries the ASCII wire form; parsing on
-        # delivery keeps the format honest on every message.
-        self._control_send(self.cfg.control_delay_us, self._deliver_report,
-                           report.serialize())
+    def _control_send(self, msg: Union[str, PacketIn, InstallFlows, RefreshFlows]) -> None:
+        """Send one control message: the handler ``_HANDLERS`` holds for its
+        type runs it after the control delay."""
+        self.sim.schedule(self.cfg.control_delay_us, self._HANDLERS[msg.__class__], self, msg)
+
+    def _dispatch_actions(self, actions: List[ControlAction]) -> None:
+        for action in actions:
+            if action.__class__ is EvictClient:
+                self.trace.flow_events.append(ClientEvicted(self.sim.now, action.uid))
+            else:
+                self._control_send(action)
 
     def _deliver_report(self, wire: str) -> None:
+        # A report travels in its ASCII wire form; parsing on delivery keeps
+        # the format honest on every message.
         report = HostReport.parse(wire)
         self._dispatch_actions(self.controller.handle_host_report(report, self.sim.now))
 
-    def _dispatch_actions(self, actions: List[ControlAction]) -> None:
-        delay = self.cfg.control_delay_us
-        for action in actions:
-            if isinstance(action, InstallFlows):
-                self._control_send(delay, self._apply_install, action)
-            elif isinstance(action, RefreshFlows):
-                self._control_send(delay, self._apply_refresh, action)
-            elif isinstance(action, EvictClient):
-                self.trace.flow_events.append(ClientEvicted(self.sim.now, action.uid))
+    def _controller_packet_in(self, msg: PacketIn) -> None:
+        self._dispatch_actions(self.controller.handle_packet_in(msg.packet, self.sim.now))
 
     def _apply_install(self, action: InstallFlows) -> None:
         now = self.sim.now
@@ -542,20 +542,18 @@ class SdnNetwork(Network):
         self.switch.table.touch(FlowMatch(src_ip=record.real_ip), now)
         self.switch.table.touch(FlowMatch(dst_ip=record.virtual_ip), now)
 
+    _HANDLERS = {str: _deliver_report, PacketIn: _controller_packet_in,
+                 InstallFlows: _apply_install, RefreshFlows: _apply_refresh}
+
     # -- core router -------------------------------------------------------------
 
     def _core_handle(self, pkt: Packet) -> None:
         decision = self.switch.process_packet(pkt, self.sim.now)
         if decision.__class__ is PacketIn:
-            self._control_send(self.cfg.control_delay_us,
-                               self._controller_packet_in, pkt)
+            self._control_send(decision)
         else:
             out, port = decision
             self._port_links[port].send(out)
-
-    def _controller_packet_in(self, pkt: Packet) -> None:
-        actions = self.controller.handle_packet_in(pkt, self.sim.now)
-        self._dispatch_actions(actions)
 
     # -- control-plane timer -------------------------------------------------------
 
@@ -567,11 +565,12 @@ class SdnNetwork(Network):
         some other event is pending."""
         sim = self.sim
         now = sim.now
-        if now == self._next_keepalive:
+        interval = self.cfg.keepalive_interval_us
+        into_interval = now % interval
+        if not into_interval:
             for zone in self.zones.values():
                 for report in zone.tap.tick(now):
-                    self._send_report(report)
-            self._next_keepalive = now + self.cfg.keepalive_interval_us
+                    self._control_send(report.serialize())
         into_second = now % EXPIRY_TICK_US
         if not into_second:
             for rule in self.switch.table.expire(now):
@@ -579,8 +578,8 @@ class SdnNetwork(Network):
             self._dispatch_actions(self.controller.evict_stale(
                 now, self._liveness_window, self.switch.table.snat_sources()))
         if sim.pending():
-            sim.schedule_at(min(now - into_second + EXPIRY_TICK_US, self._next_keepalive),
-                            self._control_tick)
+            sim.schedule_at(min(now - into_second + EXPIRY_TICK_US,
+                                now - into_interval + interval), self._control_tick)
 
     def finalize(self) -> MetricsTrace:
         trace = super().finalize()
@@ -614,8 +613,8 @@ class TunnelNetwork(Network):
 
     def _start_dhcp(self, zone: Zone) -> None:
         # Binding registration precedes address (re)confirmation.
-        self._control_send(self.tunnel.resolved_binding_delay(self.cfg.control_delay_us),
-                           self._bind, zone)
+        self.sim.schedule(self.tunnel.resolved_binding_delay(self.cfg.control_delay_us),
+                          self._bind, zone)
 
     def _bind(self, zone: Zone) -> None:
         """The binding acknowledgement: the tunnel ends at ``zone`` from

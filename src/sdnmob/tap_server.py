@@ -4,9 +4,10 @@ A tap server sees a copy of every packet its zone's clients send up
 across the access/distribution boundary. It validates source addresses
 against the zone's DHCP range (spoof guard), learns (uid, real IP) bindings
 into a time buffer, and re-reports live clients to the controller so their
-state and flows stay fresh. The tap keeps no clock of its own: its owner
-runs the keepalive pass (``tick``) once per update interval. Observation is
-side-effect-free on the data plane.
+state and flows stay fresh. The tap keeps no clock of its own: the buffer
+stamps each binding with the simulator's µs time of its latest packet, and
+the owner runs the keepalive pass (``tick``) once per update interval.
+Observation is side-effect-free on the data plane.
 
 Only the uplink is tapped: a packet going down to a client comes from
 outside the zone, so its source never passes the spoof guard and observing
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional
 from .addressing import Uid, int_span
 from .controller import HostReport
 from .packet import Packet, PacketKind
-from .units import US_PER_MS, US_PER_S
+from .units import US_PER_S
 
 UNSPECIFIED = 0  # 0.0.0.0
 
@@ -49,7 +50,7 @@ _DISCOVERY_KINDS = frozenset({PacketKind.DHCP_DISCOVER, PacketKind.ROUTER_SOLICI
 class ZoneConfig:
     zone_id: str
     dhcp_range: IPv4Network
-    dhcp_latency: int = 100 * US_PER_MS  # microseconds
+    dhcp_latency: int = 100_000  # microseconds
     tap_filter: TapFilter = TapFilter.ALL_PACKETS
     # The range as integers, computed once for the gateway, the core's port
     # lookup and the tap's spoof guard.
@@ -64,7 +65,7 @@ class TimeBufferEntry:
     """A buffered binding; its real address is its key in ``TapServer.buffer``."""
 
     uid: Uid
-    last_seen_ms: int
+    last_seen: int
 
 
 class TapServer:
@@ -95,15 +96,13 @@ class TapServer:
         if self._discovery_only and pkt.kind not in _DISCOVERY_KINDS:
             return None
         src = pkt.src_ip
-        now_ms = now // US_PER_MS
         # Only addressed in-range sources enter the buffer, so a buffered
         # source needs neither check below.
         # A client's packets share its one Uid object, so the identity test
         # settles nearly every known binding without the dataclass __eq__.
         entry = self.buffer.get(src)
         if entry is not None and (entry.uid is pkt.src_mac or entry.uid == pkt.src_mac):
-            if now_ms > entry.last_seen_ms:
-                entry.last_seen_ms = now_ms
+            entry.last_seen = now
             return None
         if src == UNSPECIFIED:
             self.ignored_unaddressed += 1
@@ -112,16 +111,14 @@ class TapServer:
             self.rejected_spoofed += 1
             return None
         # New address, or the address changed hands (DHCP reuse): report.
-        self.buffer[src] = TimeBufferEntry(pkt.src_mac, now_ms)
+        self.buffer[src] = TimeBufferEntry(pkt.src_mac, now)
         return HostReport(pkt.src_mac, IPv4Address(src))
 
     def tick(self, now: int) -> List[HostReport]:
         """Keepalive pass: drop the bindings that went quiet, then re-report
         every live one. The caller runs it once per update interval."""
-        horizon_ms = (STALENESS_FACTOR * self.update_interval) // US_PER_MS
-        now_ms = now // US_PER_MS
-        stale = [ip for ip, e in self.buffer.items()
-                 if now_ms - e.last_seen_ms > horizon_ms]
+        horizon = STALENESS_FACTOR * self.update_interval
+        stale = [ip for ip, e in self.buffer.items() if now - e.last_seen > horizon]
         for ip in stale:
             del self.buffer[ip]
         return [HostReport(e.uid, IPv4Address(ip)) for ip, e in self.buffer.items()]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from sdnmob.addressing import PoolExhausted
 from sdnmob.config import bundled_scenario_path, load_config
-from sdnmob.controller import HostReport
+from sdnmob.controller import HostReport, RefreshFlows
 from sdnmob.flow_engine import FlowTable
 from sdnmob.packet import Packet, PacketKind
 from sdnmob.sim import (
@@ -202,8 +202,9 @@ class TestEndOfRun:
             net = build_topology(TopologyConfig(**kwargs))
             net.move_client("z1")  # its DISCOVER is consumed at 1.1 ms
         elif work == "control_message":
-            net = build_topology(two_zone_cfg(**kwargs))
-            net._control_send(work_at, lambda: None)
+            # A refresh for a client with no record: its handler does nothing.
+            net = build_topology(two_zone_cfg(control_delay_us=work_at, **kwargs))
+            net._control_send(RefreshFlows(net.client.uid))
         else:
             net = build_topology(two_zone_cfg(link_delay_us=work_at, **kwargs))
             net.ext_in.send(Packet(SERVER_ADDR, IPv4Address("192.0.2.1"), SERVER_UID,
@@ -709,28 +710,29 @@ class TestFlowRefresh:
     def test_keepalive_refresh_rearms_idle_timer(self):
         """A keepalive report for an unchanged binding must touch the
         installed translation rules instead of reinstalling them."""
-        from sdnmob.controller import HostReport, RefreshFlows
         from sdnmob.flow_engine import FlowMatch
-        from ipaddress import IPv4Address
 
-        net = build_topology(two_zone_cfg())
+        cfg = two_zone_cfg()
+        delay = cfg.control_delay_us
+        net = build_topology(cfg)
         uid = net.client.uid
         actions = net.controller.handle_host_report(
             HostReport(uid, IPv4Address("10.1.0.5")), now=0)
         for action in actions:
-            net._apply_install(action)
+            net._control_send(action)
+        net.sim.run(until=delay)
         record = net.controller.mst.lookup(uid)
         rules = {rule.match: rule for rule in net.switch.table.rules}
         snat = rules.get(FlowMatch(src_ip=record.real_ip))
-        assert snat is not None and snat.last_hit == 0
+        assert snat is not None and snat.last_hit == delay
         refresh = net.controller.handle_host_report(
             HostReport(uid, IPv4Address("10.1.0.5")), now=usec(10))
         assert refresh == [RefreshFlows(uid)]
-        net.sim.now = usec(10)
-        net._apply_refresh(refresh[0])
-        assert snat.last_hit == usec(10)
+        net.sim.schedule_at(usec(10), net._control_send, refresh[0])
+        net.sim.run(until=usec(10) + delay)
+        assert snat.last_hit == usec(10) + delay
         dnat = rules[FlowMatch(dst_ip=record.virtual_ip)]
-        assert dnat.last_hit == usec(10)
+        assert dnat.last_hit == usec(10) + delay
 
 
 class TestTapFilterLiveness:
@@ -789,13 +791,15 @@ class TestStaleKeepaliveReReport:
     def test_one_pass_reports_in_zone_order(self):
         net = build_topology(self.CFG)
         delivered = []
-        deliver = net._deliver_report
+        send = net._control_send
 
-        def spy(wire):
-            delivered.append((net.sim.now, HostReport.parse(wire).real_ip))
-            deliver(wire)
+        def spy(msg):
+            if msg.__class__ is str:
+                delivered.append((net.sim.now + self.CFG.control_delay_us,
+                                  HostReport.parse(msg).real_ip))
+            send(msg)
 
-        net._deliver_report = spy
+        net._control_send = spy
         trace = run_scenario(net, self.EVENTS)
         at_pass = [[z.zone_id for z in self.CFG.zones if ip in z.dhcp_range][0]
                    for now, ip in delivered if now == usec(10) + self.CFG.control_delay_us]
@@ -811,31 +815,32 @@ class TestLostReport:
     pass, at 300 s, and the core buffers the client's traffic meanwhile."""
 
     @staticmethod
-    def run(bundled_configs, monkeypatch):
+    def run(bundled_configs):
         cfg = bundled_configs["handoff_basic"]
         net = build_topology(cfg.topology)
         zone2 = net.zones["zone2"].span
-        deliver = SdnNetwork._deliver_report
+        send = net._control_send
         lost = []
 
-        def lossy(self, wire):
-            if not lost and int(HostReport.parse(wire).real_ip) in zone2:
-                lost.append(wire)
+        def lossy(msg):
+            if (not lost and msg.__class__ is str
+                    and int(HostReport.parse(msg).real_ip) in zone2):
+                lost.append(msg)
                 return
-            deliver(self, wire)
+            send(msg)
 
-        monkeypatch.setattr(SdnNetwork, "_deliver_report", lossy)
+        net._control_send = lossy
         return run_scenario(net, cfg.events), lost
 
-    def test_exactly_one_report_is_lost(self, bundled_configs, monkeypatch):
-        _, lost = self.run(bundled_configs, monkeypatch)
+    def test_exactly_one_report_is_lost(self, bundled_configs):
+        _, lost = self.run(bundled_configs)
         assert len(lost) == 1
 
     @pytest.mark.xfail(strict=True, reason=(
         "lost report: nothing repairs the missed move before the 300 s "
         "keepalive (ROADMAP item 1; item 19, step 1, is its repair path)"))
-    def test_session_survives_a_lost_report(self, bundled_configs, monkeypatch):
-        trace, _ = self.run(bundled_configs, monkeypatch)
+    def test_session_survives_a_lost_report(self, bundled_configs):
+        trace, _ = self.run(bundled_configs)
         assert trace.losses == 0
         assert trace.resets == 0
         assert len(trace.server_observed_sources) == 1

@@ -40,7 +40,7 @@ class TestObserve:
         assert report == HostReport(UID1, IPv4Address("10.1.0.5"))
         assert report.serialize() == "aa:bb:cc:00:00:01#10.1.0.5\n"
         entry = tap.buffer[int(IPv4Address("10.1.0.5"))]
-        assert entry.last_seen_ms == 1000
+        assert entry.last_seen == usec(1)
 
     def test_out_of_range_source_rejected(self):
         tap = TapServer(ZONE)
@@ -52,7 +52,7 @@ class TestObserve:
         tap = TapServer(ZONE)
         tap.observe_packet(tapped("10.1.0.5"), now=usec(1))
         assert tap.observe_packet(tapped("10.1.0.5"), now=usec(2)) is None
-        assert tap.buffer[int(IPv4Address("10.1.0.5"))].last_seen_ms == 2000
+        assert tap.buffer[int(IPv4Address("10.1.0.5"))].last_seen == usec(2)
 
     def test_equal_uid_object_refreshes_without_report(self):
         tap = TapServer(ZONE)
@@ -60,7 +60,7 @@ class TestObserve:
         same = Uid(UID1.text)
         assert same == UID1 and same is not UID1
         assert tap.observe_packet(tapped("10.1.0.5", uid=same), now=usec(2)) is None
-        assert tap.buffer[int(IPv4Address("10.1.0.5"))].last_seen_ms == 2000
+        assert tap.buffer[int(IPv4Address("10.1.0.5"))].last_seen == usec(2)
 
     def test_address_reuse_reported_immediately(self):
         tap = TapServer(ZONE)
@@ -102,15 +102,16 @@ class TestTick:
         monkeypatch.setattr(TapServer, "tick", logged_tick)
         net = build_topology(TopologyConfig(zones=(ZONE,), keepalive_interval_us=usec(300)))
         sent = []
-        send = net._send_report
+        send = net._control_send
 
-        def logged_send(report):
-            sent.append(report)
-            send(report)
+        def logged_send(msg):
+            if msg.__class__ is str:
+                sent.append(HostReport.parse(msg))
+            send(msg)
 
-        net._send_report = logged_send
+        net._control_send = logged_send
         net.move_client("z1")
-        net._control_send(usec(299.5), lambda: None)  # keeps the run going
+        net.sim.schedule(usec(299.5), lambda: None)  # keeps the run going
         net.sim.run(until=usec(300) - 1)
         assert ticks == []
         # Only the solicitation's discovery report.
@@ -132,13 +133,23 @@ class TestTick:
         tap = TapServer(ZONE, update_interval=usec(300))
         assert tap.tick(now=usec(300)) == []
 
+    # (interval, seen at, ticks that keep the binding, tick that drops it)
+    STALENESS_CASES = [
+        # Ages 10 s and 20 s are within the 20 s horizon, the boundary
+        # included; age 31 s is past it.
+        (usec(10), 0, [usec(10), usec(20)], usec(31)),
+        # A horizon that is not a whole number of ms holds to the µs.
+        (1250, 1000, [3500], 3501),
+    ]
+
     def test_quiet_entry_dropped_at_staleness_horizon(self):
-        tap = TapServer(ZONE, update_interval=usec(10))
-        tap.observe_packet(tapped("10.1.0.5"), now=0)
-        assert len(tap.tick(now=usec(10))) == 1   # age 10 <= horizon 20
-        assert len(tap.tick(now=usec(20))) == 1   # age 20, boundary case kept
-        assert tap.tick(now=usec(31)) == []       # age 31 > 20: dropped
-        assert not tap.buffer
+        for interval, seen, kept, dropped in self.STALENESS_CASES:
+            tap = TapServer(ZONE, update_interval=interval)
+            tap.observe_packet(tapped("10.1.0.5"), now=seen)
+            for now in kept:
+                assert len(tap.tick(now=now)) == 1, (interval, now)
+            assert tap.tick(now=dropped) == [], (interval, dropped)
+            assert not tap.buffer
 
 
 class TestSpoofGuardProperty:
