@@ -29,6 +29,8 @@ LIVENESS_WINDOW_FACTOR = 2.5
 # 255.255.255.255, the limited broadcast address, as an integer.
 _LIMITED_BROADCAST = 0xFFFF_FFFF
 
+_NEVER = float("inf")
+
 
 class ReportRejected(AddressError):
     """Host report failed address validation."""
@@ -88,6 +90,11 @@ class MobilityServiceTable:
     The index ``uid_by_real_ip`` is keyed by the real address. Records
     change only through ``add``, ``move`` and ``remove``, which keep the
     offsets and the index in step with them.
+
+    ``seen_bound`` is a lower bound on every record's ``last_seen``. ``add``
+    lowers it to the new record's; ``move`` and ``remove`` leave it a lower
+    bound, as does any later write of ``last_seen``, since those writes
+    read a clock that never decreases.
     """
 
     def __init__(self, vpip_pool: IPv4Network) -> None:
@@ -95,6 +102,7 @@ class MobilityServiceTable:
         self._first, self._count = host_span(vpip_pool)
         self.vpip_offsets: List[int] = []
         self.uid_by_real_ip: Dict[int, Uid] = {}
+        self.seen_bound: float = _NEVER
 
     def __len__(self) -> int:
         return len(self.records)
@@ -110,6 +118,8 @@ class MobilityServiceTable:
     def add(self, record: MobilityRecord) -> None:
         """Insert a record whose virtual IP is a free host of the pool."""
         self.records[record.uid] = record
+        if record.last_seen < self.seen_bound:
+            self.seen_bound = record.last_seen
         bisect.insort(self.vpip_offsets, record.virtual_ip - self._first)
         self.uid_by_real_ip[record.real_ip] = record.uid
 
@@ -143,6 +153,8 @@ class MobilityServiceTable:
         assert self.uid_by_real_ip == {
             r.real_ip: uid for uid, r in self.records.items()
         }, "real IP index out of sync with records"
+        assert all(self.seen_bound <= r.last_seen for r in self.records.values()), \
+            "seen_bound above a record's last_seen"
 
 
 def allocate_vpip(pool: IPv4Network, taken: Sequence[int],
@@ -272,14 +284,29 @@ class MobilityController:
 
         No flow deletion is issued: data-plane entries for a departed client
         idle out on their own.
+
+        No record can be stale while ``now`` minus the table's ``seen_bound``
+        is within the window, so the pass reads no record then; a scan
+        resets the bound to the earliest ``last_seen`` it keeps, a stale
+        record that its SNAT rule holds included, so that record is read
+        again on every pass. The bound holds because ``now`` never decreases
+        between calls, as on the simulator's clock.
         """
-        stale = [
-            uid for uid, rec in self.mst.records.items()
-            if now - rec.last_seen > liveness_window and rec.real_ip not in snat_sources
-        ]
+        mst = self.mst
+        if now - mst.seen_bound <= liveness_window:
+            return []
+        stale = []
+        bound = _NEVER
+        for uid, rec in mst.records.items():
+            last_seen = rec.last_seen
+            if now - last_seen > liveness_window and rec.real_ip not in snat_sources:
+                stale.append(uid)
+            elif last_seen < bound:
+                bound = last_seen
+        mst.seen_bound = bound
         actions: List[ControlAction] = []
         for uid in stale:
-            self.mst.remove(uid)
+            mst.remove(uid)
             actions.append(EvictClient(uid))
         return actions
 

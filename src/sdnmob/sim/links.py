@@ -1,21 +1,27 @@
 """Point-to-point link model.
 
 Each ``Link`` is one direction of a physical link: store-and-forward with
-FIFO serialization at the sending end, then fixed propagation delay. A
-packet committed to the wire is checked against link state again at its
-arrival instant, so taking a link down drops exactly the in-flight packets
-that would still be on it.
-
+FIFO serialization at the sending end, then fixed propagation delay.
 ``overhead_bytes`` models tunnel encapsulation on that segment: the wire
 time charged per packet grows, the packet itself is untouched.
 
-A link hands each arriving packet to its one receiver, ``deliver(pkt)``; a
-receiver that needs the time reads it from the simulator. A link counts its
-own drops, one integer per reason: ``down_at_send`` and ``down_at_arrival``.
+A packet on a link is its pending arrival event, ``schedule_at(arrival,
+target, pkt)``, with no closure and no count per hop. Each link stores
+that target once, at construction, so no bound method is built per hop. A
+wire (the default) is never down, and its target is its one receiver,
+``deliver(pkt)``, so a packet goes straight to it. An access link
+(``access=True``) is one the client's attachment takes up and down with
+``set_up``. Its target is its own ``_arrive``, which checks the link again
+at the arrival instant, so taking it down drops exactly the in-flight
+packets that would still be on it. It counts its own drops, one integer
+per reason: ``down_at_send`` and ``down_at_arrival``; a wire's stay 0.
+A receiver that needs the time reads it from the simulator.
 
-A packet on the wire is its pending arrival event,
-``schedule_at(arrival, self._arrive, pkt)``, with no closure and no count
-per hop.
+Both kinds are one class on purpose. ``Link.send`` runs once per hop, and
+CPython (3.11+) specializes each attribute read in it for one exact type;
+a subclass for access links would make those reads miss on every hop that
+alternates between the two, which costs more than the arrival check
+saves.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ class Link:
         delay_us: int,
         deliver: Callable[[Packet], None],
         overhead_bytes: int = 0,
+        access: bool = False,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -47,10 +54,13 @@ class Link:
         self.delay_us = delay_us
         self.deliver = deliver
         self.overhead_bytes = overhead_bytes
+        self.access = access
         self.up = True
         self.down_at_send = 0
         self.down_at_arrival = 0
         self._busy_until = 0
+        # What the arrival event calls with the packet.
+        self._target: Callable[[Packet], None] = self._arrive if access else deliver
 
     def send(self, pkt: Packet) -> bool:
         """Queue a packet for transmission; False if dropped at the sender."""
@@ -63,7 +73,7 @@ class Link:
         self._busy_until = start + (
             (pkt.wire_bytes + self.overhead_bytes) * 8 * US_PER_S // self.bandwidth_bps
         )
-        sim.schedule_at(self._busy_until + self.delay_us, self._arrive, pkt)
+        sim.schedule_at(self._busy_until + self.delay_us, self._target, pkt)
         return True
 
     def _arrive(self, pkt: Packet) -> None:
@@ -73,4 +83,7 @@ class Link:
             self.down_at_arrival += 1
 
     def set_up(self, up: bool) -> None:
+        """Take an access link up or down; a wire is never down."""
+        if not self.access:
+            raise ValueError(f"link {self.name!r} is a wire, which is never down")
         self.up = up

@@ -6,13 +6,16 @@ DHCP and metrics. Each mode adds its core to it. Each zone's
 state lives in one ``Zone`` in ``Network.zones``, and ``move_client`` makes
 the client's first attach and every handoff. Every transmission ends
 in one fate: ``accepted`` by a host, ``consumed`` at a zone gateway, dropped
-at a host (``host_drops``), or dropped on a link, which counts its own drops
-by reason. Everything else the run records goes straight into
-``Network.trace``, the ``MetricsTrace`` the run returns; ``finalize`` adds
-the losses and folds the fates into its counters. ``new_client_conn`` opens
-both halves of a connection at once and returns the client's, and each half
-holds its peer: the client's is the server, the server's is the source of
-the data it receives.
+at a host (``host_drops``), or dropped on one of a zone's two access links,
+the only links the client's attachment takes down, which count their own
+drops by reason. Every other link is a wire that is never down. The core
+finds the port that reaches an address by one binary search over the
+zones' span bounds, sorted once at build. Everything else the run records
+goes straight into ``Network.trace``, the ``MetricsTrace`` the run returns;
+``finalize`` adds the losses and folds the fates into its counters.
+``new_client_conn`` opens both halves of a connection at once and returns
+the client's, and each half holds its peer: the client's is the server,
+the server's is the source of the data it receives.
 
 ``SdnNetwork`` adds the least set of SDN features: per-zone tap servers, the
 controller and a flow-table core that translates the client's zone-local
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -286,8 +290,10 @@ class ServerHost:
 class Zone:
     """One zone of the routed network: its config, DHCP pool and address
     range, the core's port toward it, its four links and the gateway that
-    routes between them. DHCP and router-solicitation traffic terminates at
-    the gateway. In SDN mode the zone also has a tap on its uplink."""
+    routes between them. The two access links are the ones
+    ``set_attached`` takes up and down; the two trunk links are wires. DHCP
+    and router-solicitation traffic terminates at the gateway. In SDN mode
+    the zone also has a tap on its uplink."""
 
     def __init__(self, net: "Network", cfg: ZoneConfig, trunk_overhead: int):
         zid = cfg.zone_id
@@ -299,8 +305,8 @@ class Zone:
         self.span = cfg.span
         self.port = f"zone:{zid}"
         self.tap: Optional[TapServer] = None
-        self.access_up = net._link(f"access-up:{zid}", net._uplink(self))
-        self.access_down = net._link(f"access-down:{zid}", net.client.handle)
+        self.access_up = net._link(f"access-up:{zid}", net._uplink(self), access=True)
+        self.access_down = net._link(f"access-down:{zid}", net.client.handle, access=True)
         self.trunk_up = net._link(f"trunk-up:{zid}", net._core_handle, trunk_overhead)
         # The core sends a zone only traffic for the zone's own leases, or
         # (tunnel mode) for the home address it bound to this zone.
@@ -359,13 +365,24 @@ class Network:
         self._port_links: Dict[str, Link] = {
             EXT_PORT: self.ext_out, **{z.port: z.trunk_down for z in self.zones.values()}
         }
+        # The zone spans are disjoint, so their (start, stop) bounds in
+        # address order never decrease. The count of bounds at or below an
+        # address picks its port: an odd count is inside a zone.
+        bounds: List[int] = []
+        ports = [EXT_PORT]
+        for zone in sorted(self.zones.values(), key=lambda z: z.span.start):
+            bounds += zone.span.start, zone.span.stop
+            ports += zone.port, EXT_PORT
+        self._zone_bounds = tuple(bounds)
+        self._bound_ports = tuple(ports)
 
     # -- wiring --------------------------------------------------------------
 
-    def _link(self, name: str, deliver: Deliver, overhead: int = 0) -> Link:
+    def _link(self, name: str, deliver: Deliver, overhead: int = 0,
+              access: bool = False) -> Link:
         cfg = self.cfg
         return Link(self.sim, name, cfg.link_bandwidth_bps, cfg.link_delay_us,
-                    deliver=deliver, overhead_bytes=overhead)
+                    deliver, overhead, access)
 
     def _uplink(self, zone: Zone) -> Deliver:
         """Where ``zone``'s access-up link delivers."""
@@ -373,10 +390,7 @@ class Network:
 
     def _zone_port(self, addr: int) -> str:
         """The core port that reaches ``addr``: its zone's, else external."""
-        for zone in self.zones.values():
-            if addr in zone.span:
-                return zone.port
-        return EXT_PORT
+        return self._bound_ports[bisect_right(self._zone_bounds, addr)]
 
     # -- core ----------------------------------------------------------------------
 

@@ -84,6 +84,8 @@ class TransportSide:
         # seq -> send time, None once retransmitted; oldest first.
         self.unacked: "OrderedDict[int, Optional[int]]" = OrderedDict()
         self.srtt: Optional[float] = None
+        # The retransmission timeout, updated wherever srtt changes.
+        self.rto = INITIAL_RTO_US
         # Retransmission timer: the instant it expires (None: disarmed) and
         # the instant of the live pending wake-up (None: none pending).
         self.deadline: Optional[int] = None
@@ -129,16 +131,11 @@ class TransportSide:
         self.retransmissions += 1
         self._send(seq)
 
-    def _rto(self) -> int:
-        if self.srtt is None:
-            return INITIAL_RTO_US
-        return max(int(RTO_FACTOR * self.srtt), MIN_RTO_US)
-
     def _arm_timer(self) -> None:
         """Set the deadline to now + RTO. A new wake-up is scheduled only if
         none is pending or the pending one comes after the deadline."""
         sim = self.host.sim
-        deadline = self.deadline = sim.now + self._rto()
+        deadline = self.deadline = sim.now + self.rto
         wakeup = self._wakeup_at
         if wakeup is None or deadline < wakeup:
             self._wakeup_at = deadline
@@ -175,20 +172,21 @@ class TransportSide:
             for _ in range(covered):
                 sent_at = unacked.popitem(last=False)[1]  # ends at the newest
             if sent_at is not None:
-                self._sample_rtt(sent_at)
+                # An RTT sample (Karn's rule: first transmissions only).
+                sample = self.host.sim.now - sent_at
+                srtt = self.srtt
+                if srtt is None:
+                    srtt = float(sample)
+                else:
+                    srtt = (1 - SRTT_ALPHA) * srtt + SRTT_ALPHA * sample
+                self.srtt = srtt
+                self.rto = max(int(RTO_FACTOR * srtt), MIN_RTO_US)
+                self.rtt_log.append(sent_at, sample)
             if unacked:
                 self._arm_timer()
             else:
                 self.deadline = None
         self.pump()
-
-    def _sample_rtt(self, sent_at: int) -> None:
-        sample = self.host.sim.now - sent_at
-        if self.srtt is None:
-            self.srtt = float(sample)
-        else:
-            self.srtt = (1 - SRTT_ALPHA) * self.srtt + SRTT_ALPHA * sample
-        self.rtt_log.append(sent_at, sample)
 
     def flush_all(self) -> None:
         """Retransmit everything outstanding; called when a fresh address

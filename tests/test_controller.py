@@ -14,6 +14,7 @@ from sdnmob.controller import (
     HostReport,
     InstallFlows,
     MobilityController,
+    MobilityRecord,
     RefreshFlows,
     ReportRejected,
     WireFormatError,
@@ -250,6 +251,68 @@ class TestEviction:
         assert ctrl.evict_stale(now=idle_out, liveness_window=1000,
                                 snat_sources=table.snat_sources()) == [EvictClient(UID1)]
         assert len(ctrl.mst) == 0
+
+
+class CountingRecords(dict):
+    """A record dict that counts the records its ``items`` yields."""
+
+    reads = 0
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+
+class TestEvictionBound:
+    """``evict_stale`` reads no record while no record can be stale: until
+    ``now`` passes the earliest ``last_seen`` by more than the window."""
+
+    def counted(self, ctrl):
+        records = ctrl.mst.records = CountingRecords(ctrl.mst.records)
+        return records
+
+    def test_no_record_is_read_before_the_bound(self):
+        ctrl = make_controller()
+        ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=0)
+        ctrl.handle_host_report(HostReport(UID2, IPv4Address("10.1.0.6")), now=500)
+        records = self.counted(ctrl)
+        assert ctrl.evict_stale(now=1000, liveness_window=1000, snat_sources=()) == []
+        assert records.reads == 0
+        # Past the bound, one pass reads every record and evicts UID1; the
+        # bound moves to UID2's last_seen.
+        assert ctrl.evict_stale(now=1001, liveness_window=1000,
+                                snat_sources=()) == [EvictClient(UID1)]
+        assert records.reads == 2
+        assert ctrl.evict_stale(now=1500, liveness_window=1000, snat_sources=()) == []
+        assert records.reads == 2
+        assert ctrl.evict_stale(now=1501, liveness_window=1000,
+                                snat_sources=()) == [EvictClient(UID2)]
+        assert records.reads == 3
+        ctrl.mst.check_invariants()
+
+    def test_a_new_record_lowers_the_bound(self):
+        ctrl = make_controller()
+        ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=5000)
+        vpip = allocate_vpip(POOL, ctrl.mst.vpip_offsets, random.Random(1))
+        ctrl.mst.add(MobilityRecord(UID2, int(IPv4Address("10.1.0.6")), vpip, 0))
+        records = self.counted(ctrl)
+        assert ctrl.evict_stale(now=1001, liveness_window=1000,
+                                snat_sources=()) == [EvictClient(UID2)]
+        assert records.reads == 2
+        ctrl.mst.check_invariants()
+
+    def test_a_record_kept_by_its_snat_rule_is_read_on_every_pass(self):
+        ctrl = make_controller()
+        ctrl.handle_host_report(HostReport(UID1, IPv4Address("10.1.0.5")), now=0)
+        held = {int(IPv4Address("10.1.0.5"))}
+        records = self.counted(ctrl)
+        for k, now in enumerate((2001, 2002, 2003), start=1):
+            assert ctrl.evict_stale(now=now, liveness_window=1000, snat_sources=held) == []
+            assert records.reads == k
+        assert ctrl.evict_stale(now=2004, liveness_window=1000,
+                                snat_sources=()) == [EvictClient(UID1)]
+        assert records.reads == 4 and len(ctrl.mst) == 0
 
 
 class TestLookupAndPacketIn:

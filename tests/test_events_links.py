@@ -1,14 +1,17 @@
 """Event queue ordering and link timing, the primitives the switch-over
 budgets rely on."""
 
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
 from sdnmob.addressing import Uid
 from sdnmob.packet import Packet, PacketKind
 from sdnmob.sim.events import Simulator
+from sdnmob.sim import Mode, TopologyConfig, TunnelConfig, build_topology
 from sdnmob.sim.links import Link, serialization_us
+from sdnmob.tap_server import ZoneConfig
+from sdnmob.units import usec
 
 UID = Uid("aa:bb:cc:00:00:01")
 
@@ -106,7 +109,7 @@ class TestLinkTiming:
 
     def test_down_at_send_drops(self):
         sim = Simulator()
-        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None)
+        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None, access=True)
         link.set_up(False)
         assert link.send(pkt()) is False
         assert (link.down_at_send, link.down_at_arrival) == (1, 0)
@@ -116,7 +119,7 @@ class TestLinkTiming:
         sim = Simulator()
         outcomes = []
         link = Link(sim, "l", 10_000_000, 1_000,
-                    deliver=lambda p: outcomes.append("delivered"))
+                    deliver=lambda p: outcomes.append("delivered"), access=True)
         link.send(pkt())
         sim.schedule_at(100, lambda: link.set_up(False))
         sim.run()
@@ -145,7 +148,7 @@ class TestInFlight:
 
     def test_falls_when_dropped_at_arrival(self):
         sim = Simulator()
-        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None)
+        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None, access=True)
         link.send(pkt())
         sim.schedule_at(100, lambda: link.set_up(False))
         sim.run(until=100)
@@ -156,8 +159,57 @@ class TestInFlight:
 
     def test_drop_at_send_never_counts(self):
         sim = Simulator()
-        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None)
+        link = Link(sim, "l", 10_000_000, 1_000, deliver=lambda p: None, access=True)
         link.set_up(False)
         assert link.send(pkt()) is False
         assert link.down_at_send == 1
         assert sim.pending() == 0
+
+
+class TestWire:
+    def test_a_wire_hands_the_packet_straight_to_its_receiver(self):
+        """A wire's arrival event is its receiver itself, and the access
+        link's is its own arrival check."""
+        sim = Simulator()
+
+        def deliver(p):
+            pass
+
+        wire = Link(sim, "w", 10_000_000, 1_000, deliver=deliver)
+        access = Link(sim, "a", 10_000_000, 1_000, deliver=deliver, access=True)
+        wire.send(pkt(seq=0))
+        access.send(pkt(seq=1))
+        assert [fn for _, _, fn, _ in sorted(sim._heap)] == [deliver, access._arrive]
+
+    def test_a_wire_is_never_down(self):
+        sim = Simulator()
+        wire = Link(sim, "w", 10_000_000, 1_000, deliver=lambda p: None)
+        with pytest.raises(ValueError, match="wire"):
+            wire.set_up(False)
+        assert wire.up and wire.send(pkt())
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_attachment_toggles_exactly_the_access_links(mode, monkeypatch):
+    """Only an access link ever goes down: the links ``Zone.set_attached``
+    toggles are exactly the access links of the network, two per zone, and
+    every other link is a wire."""
+    toggled = []
+    set_up = Link.set_up
+
+    def spy(link, up):
+        toggled.append(link)
+        set_up(link, up)
+
+    monkeypatch.setattr(Link, "set_up", spy)
+    zones = (ZoneConfig("z1", IPv4Network("10.1.0.0/24"), usec(0.1)),
+             ZoneConfig("z2", IPv4Network("10.2.0.0/24"), usec(0.1)))
+    net = build_topology(TopologyConfig(zones=zones), mode, TunnelConfig())
+    for zone in net.zones.values():
+        zone.set_attached(True)
+        zone.set_attached(False)
+    access = [link for link in net.links if link.access]
+    assert len(access) == 2 * len(zones)
+    assert {id(link) for link in toggled} == {id(link) for link in access}
+    assert {id(link) for z in net.zones.values()
+            for link in (z.access_up, z.access_down)} == {id(link) for link in access}

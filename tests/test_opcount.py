@@ -21,7 +21,7 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "opcount.py"
 
 PINNED_INTERPRETER = ("cpython", (3, 11))
-PINNED = {"sdn": 2_130_830, "pmip": 1_886_422}
+PINNED = {"sdn": 2_065_114, "pmip": 1_803_644}
 
 
 @pytest.fixture(scope="module")

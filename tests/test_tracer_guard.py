@@ -18,8 +18,9 @@ from campus import campus_network, campus_population, register
 from test_golden import load_perfbench
 from sdnmob.config import bundled_scenario_path, load_config
 from sdnmob.packet import Packet
-from sdnmob.sim import build_topology, run_scenario
+from sdnmob.sim import Mode, build_topology, run_scenario
 from sdnmob.sim.events import Simulator
+from sdnmob.sim.links import Link
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -54,6 +55,16 @@ def test_tracer_counts_every_event_and_packet_then_restores():
     assert counts["events.scheduled"] == net.sim._seq
     assert counts["packet.created"] > 0
     assert all(owner.__dict__[attr] is raw for owner, attr, raw in patched)
+
+
+def test_every_link_sends_through_link_send():
+    """The tracer patches ``Link.send`` to span every hop, so every link of
+    a network is a plain ``Link`` (no subclass, whose ``send`` could
+    differ), in both modes."""
+    cfg = load_config(bundled_scenario_path("handoff_basic"), mode="both")
+    for mode in Mode:
+        net = build_topology(cfg.topology, mode, cfg.tunnel)
+        assert net.links and all(type(link) is Link for link in net.links)
 
 
 def test_tracer_sees_every_admission():

@@ -153,7 +153,7 @@ class TestTimer:
         side.submit(3)  # armed at 0 for the initial RTO (1 s)
         sim.schedule_at(300_000, side.receive_ack, ack_for(side, 1))
         sim.run(until=300_000)
-        rto = side._rto()
+        rto = side.rto
         assert rto == 1_200_000  # four times the one 300 ms sample
         sim.run(until=300_000 + rto - 1)
         assert side.retransmissions == 0  # the 1 s wake-up only moved on
